@@ -24,13 +24,34 @@ void CommWorld::run(const std::function<void(Comm&)>& fn) {
       try {
         fn(comm);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
+        {
+          std::lock_guard<std::mutex> lock(err_mu);
+          if (!first_error) first_error = std::current_exception();
+        }
+        abort();
       }
     });
   }
   for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  if (!first_error) return;
+  // Every rank has joined: reset the world for the next run.
+  for (auto& box : boxes_) {
+    std::lock_guard<std::mutex> lock(box.mu);
+    box.queues.clear();
+    box.depth = 0;
+  }
+  aborted_.store(false);
+  std::rethrow_exception(first_error);
+}
+
+void CommWorld::abort() {
+  aborted_.store(true);
+  for (auto& box : boxes_) {
+    // Taking the lock orders the flag before any waiter's next predicate
+    // check: a take() either sees the flag or is already waiting.
+    { std::lock_guard<std::mutex> lock(box.mu); }
+    box.cv.notify_all();
+  }
 }
 
 void CommWorld::deliver(int dest, int source, int tag, const Buffer& data) {
@@ -59,8 +80,10 @@ Buffer CommWorld::take(int self, int source, int tag) {
   const auto key = std::make_pair(source, tag);
   box.cv.wait(lock, [&] {
     const auto it = box.queues.find(key);
-    return it != box.queues.end() && !it->second.empty();
+    return aborted_.load() || (it != box.queues.end() && !it->second.empty());
   });
+  if (aborted_.load())
+    throw std::runtime_error("Comm::recv: another rank failed");
   auto& q = box.queues[key];
   Buffer out = std::move(q.front());
   q.erase(q.begin());
@@ -80,51 +103,6 @@ Buffer Comm::recv(int source, int tag) {
   if (source < 0 || source >= world_->size())
     throw std::out_of_range("Comm::recv: bad source rank");
   return world_->take(rank_, source, tag);
-}
-
-void Comm::barrier() {
-  std::unique_lock<std::mutex> lock(world_->coll_mu_);
-  const std::uint64_t gen = world_->coll_generation_;
-  if (++world_->coll_count_ == world_->size()) {
-    world_->coll_count_ = 0;
-    ++world_->coll_generation_;
-    world_->coll_cv_.notify_all();
-  } else {
-    world_->coll_cv_.wait(lock,
-                          [&] { return world_->coll_generation_ != gen; });
-  }
-}
-
-double Comm::allreduce_sum(double value) {
-  std::unique_lock<std::mutex> lock(world_->coll_mu_);
-  const std::uint64_t gen = world_->coll_generation_;
-  world_->reduce_acc_ += value;
-  if (++world_->coll_count_ == world_->size()) {
-    world_->reduce_result_ = world_->reduce_acc_;
-    world_->reduce_acc_ = 0.0;
-    world_->coll_count_ = 0;
-    ++world_->coll_generation_;
-    world_->coll_cv_.notify_all();
-  } else {
-    world_->coll_cv_.wait(lock,
-                          [&] { return world_->coll_generation_ != gen; });
-  }
-  return world_->reduce_result_;
-}
-
-std::vector<Buffer> Comm::gather(int root, const Buffer& mine) {
-  constexpr int kGatherTag = -4242;
-  if (rank_ == root) {
-    std::vector<Buffer> out(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(rank_)] = mine;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      out[static_cast<std::size_t>(r)] = recv(r, kGatherTag);
-    }
-    return out;
-  }
-  send(root, kGatherTag, mine);
-  return {};
 }
 
 }  // namespace bda::hpc

@@ -5,10 +5,13 @@
 // transfer with RAM copy and node-to-node network communications".  This
 // module provides the same programming model at laptop scale: a CommWorld
 // spawns N ranks as threads, each holding a Comm endpoint with tagged
-// point-to-point send/recv and the collectives the workflow uses.  Message
-// delivery is by value (buffers copied), matching MPI semantics.
+// point-to-point send/recv.  Message delivery is by value (buffers copied),
+// matching MPI semantics.  There are deliberately no collectives: every
+// cross-rank combine in the tree is a point-to-point exchange folded in
+// rank order, which is what keeps sharded runs bitwise equal to serial.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -43,14 +46,10 @@ class Comm {
   /// high-water mark so tests and benches can see how deep the queues
   /// actually get.
   void send(int dest, int tag, const Buffer& data);
-  /// Blocking tagged receive from a specific source.
+  /// Blocking tagged receive from a specific source.  Throws
+  /// std::runtime_error instead of waiting forever once another rank of
+  /// the world has thrown (see CommWorld::run).
   Buffer recv(int source, int tag);
-
-  /// Collectives over all ranks.
-  void barrier();
-  double allreduce_sum(double value);
-  /// Gather per-rank buffers at root; non-roots get an empty vector.
-  std::vector<Buffer> gather(int root, const Buffer& mine);
 
  private:
   friend class CommWorld;
@@ -67,7 +66,11 @@ class CommWorld {
   int size() const { return n_ranks_; }
 
   /// Run `fn(comm)` on every rank concurrently; returns when all finish.
-  /// Exceptions thrown by any rank are rethrown (first one wins).
+  /// Exceptions thrown by any rank are rethrown (first one wins).  The
+  /// first exception aborts the world: every recv blocked on a message the
+  /// failed rank will never send throws, so the peers unwind and run()
+  /// joins instead of hanging.  Messages still queued when a run fails are
+  /// discarded, so the world can be run again.
   void run(const std::function<void(Comm&)>& fn);
 
   /// High-water mark of messages queued in any single mailbox since
@@ -89,18 +92,14 @@ class CommWorld {
   };
   void deliver(int dest, int source, int tag, const Buffer& data);
   Buffer take(int self, int source, int tag);
+  /// Set the abort flag and wake every blocked take().
+  void abort();
 
   int n_ranks_;
   std::vector<Mailbox> boxes_;
-
-  // Barrier / reduction state: generation-counted so back-to-back
-  // collectives cannot confuse late wakers (all guarded by coll_mu_).
-  std::mutex coll_mu_;
-  std::condition_variable coll_cv_ BDA_CV_OF(coll_mu_);
-  int coll_count_ BDA_GUARDED_BY(coll_mu_) = 0;
-  std::uint64_t coll_generation_ BDA_GUARDED_BY(coll_mu_) = 0;
-  double reduce_acc_ BDA_GUARDED_BY(coll_mu_) = 0.0;
-  double reduce_result_ BDA_GUARDED_BY(coll_mu_) = 0.0;
+  /// Set by run() when a rank throws; read by take() under a mailbox lock
+  /// (abort() locks each mailbox before notifying, so no wakeup is lost).
+  std::atomic<bool> aborted_{false};
 };
 
 }  // namespace bda::hpc

@@ -48,36 +48,4 @@ void RotatingGroupPool::reset() {
   peak_busy_ = 0;
 }
 
-ForecastScheduler::ForecastScheduler(SchedulerConfig cfg) : cfg_(cfg) {}
-
-std::vector<ForecastJob> ForecastScheduler::simulate(
-    std::size_t n_cycles, const std::vector<double>* runtimes) {
-  // Admission is instantaneous-or-skipped here (wait budget 0): a cycle
-  // whose product forecast finds no free group appears as a gap in Fig 5.
-  RotatingGroupPool pool(cfg_.n_groups, 0.0);
-  std::vector<ForecastJob> jobs;
-  jobs.reserve(n_cycles);
-
-  for (std::size_t c = 0; c < n_cycles; ++c) {
-    const double t = double(c) * cfg_.interval_s;
-    const double rt =
-        (runtimes && c < runtimes->size()) ? (*runtimes)[c] : cfg_.runtime_s;
-    const GroupAdmission adm = pool.admit(t, rt);
-    ForecastJob job;
-    job.t_init = t;
-    if (!adm.admitted) {
-      job.dropped = true;
-      job.groups_busy = adm.busy_before;  // == n_groups: saturated
-    } else {
-      job.group = adm.group;
-      job.t_start = adm.t_start;
-      job.t_done = adm.t_done;
-      job.groups_busy = adm.busy_before + 1;
-    }
-    jobs.push_back(job);
-  }
-  peak_nodes_ = pool.peak_busy() * nodes_per_group();
-  return jobs;
-}
-
 }  // namespace bda::hpc

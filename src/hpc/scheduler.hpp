@@ -10,15 +10,14 @@
 // as long as  n_groups * interval >= runtime  (with the default 4 x 30 s =
 // 120 s = the ~2-minute runtime, exactly the operational balance).
 //
-// The admission policy itself lives in RotatingGroupPool and is shared by
-// every consumer — ForecastScheduler::simulate here, the Fig 5 discrete-
-// event twin (workflow::OperationSimulator) and, in wall-clock form, the
-// real-thread workflow::PipelinedDriver — so drop/queue semantics cannot
-// drift between the model and the implementation (a drift of exactly that
-// kind is how the peak-node accounting bug below went unnoticed).
+// The admission policy lives in RotatingGroupPool and is shared by both
+// consumers — the Fig 5 discrete-event twin (workflow::OperationSimulator)
+// in virtual time and the real-thread workflow::PipelinedDriver in wall-
+// clock time — so drop/queue semantics cannot drift between the model and
+// the implementation (a drift of exactly that kind is how the peak-node
+// accounting bug below went unnoticed).
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace bda::hpc {
@@ -40,18 +39,25 @@ struct GroupAdmission {
 ///
 /// A job arriving at `t_ready` goes to the group that frees up earliest.
 /// If that group is still busy, the job may queue up to `max_wait_s`
-/// (ForecastScheduler uses 0: admission is instantaneous or skipped;
+/// (PipelinedDriver uses 0: admission is instantaneous or skipped;
 /// OperationSimulator allows a short wait before a fresher analysis
 /// supersedes the cycle).  Beyond the budget the job is dropped — a gap in
-/// Fig 5, not a delay.
+/// Fig 5, not a delay.  With a zero budget, "frees up earliest" is "the
+/// free group idle longest", ties going to the lowest index.
 class RotatingGroupPool {
  public:
   explicit RotatingGroupPool(int n_groups, double max_wait_s = 0.0);
 
   /// Attempt to place one job of `runtime_s` arriving at `t_ready`.
   /// Occupancy (busy_before, peak) is recorded whether or not the job is
-  /// admitted.
+  /// admitted.  A job whose runtime is not known up front is admitted with
+  /// an infinite runtime and released when it completes.
   GroupAdmission admit(double t_ready, double runtime_s);
+
+  /// Group `g`'s job completed at `t`: the group is free from then on.
+  void release(int g, double t) {
+    busy_until_[static_cast<std::size_t>(g)] = t;
+  }
 
   /// Groups whose current job is still running at time `t`.
   int busy_at(double t) const;
@@ -72,49 +78,6 @@ class RotatingGroupPool {
   std::vector<double> busy_until_;
   double max_wait_s_ = 0.0;
   int peak_busy_ = 0;
-};
-
-struct SchedulerConfig {
-  int total_nodes = 880;     ///< part <2> partition size
-  int n_groups = 4;          ///< rotating groups
-  double interval_s = 30.0;  ///< forecast initialization cadence
-  double runtime_s = 120.0;  ///< wall time of one 30-min 11-member forecast
-};
-
-struct ForecastJob {
-  double t_init = 0;      ///< analysis time it starts from
-  double t_start = 0;     ///< when a group became available
-  double t_done = 0;      ///< completion (product file written)
-  int group = -1;         ///< which node group ran it
-  bool dropped = false;   ///< no group free at admission time
-  /// Groups busy at the admission instant, counting this job if admitted.
-  /// A dropped job records n_groups: full-partition saturation.
-  int groups_busy = 0;
-};
-
-/// Simulate `n_cycles` admissions (one per interval); returns one JobRecord
-/// per admission in time order.
-class ForecastScheduler {
- public:
-  explicit ForecastScheduler(SchedulerConfig cfg = {});
-
-  /// Reset and simulate from t = 0.  `runtime_of(cycle)` lets the caller
-  /// vary runtimes (e.g. with rain area); pass nullptr for the constant
-  /// cfg.runtime_s.
-  std::vector<ForecastJob> simulate(
-      std::size_t n_cycles, const std::vector<double>* runtimes = nullptr);
-
-  int nodes_per_group() const { return cfg_.total_nodes / cfg_.n_groups; }
-  const SchedulerConfig& config() const { return cfg_; }
-
-  /// Peak simultaneous node usage of the last simulate() call.  Sampled on
-  /// every admission attempt, dropped ones included (a drop means every
-  /// group is busy, i.e. the full partition is in use).
-  int peak_nodes_used() const { return peak_nodes_; }
-
- private:
-  SchedulerConfig cfg_;
-  int peak_nodes_ = 0;
 };
 
 }  // namespace bda::hpc

@@ -257,22 +257,11 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
     total.eig_batches += tallies[r].eig_batches;
     shuffle_bytes += moved_bytes[r];
   }
-  stats.n_grid_updated = total.grid_updated;
-  stats.n_eig_fail = total.eig_fail;
-  stats.n_weight_reuse = total.cache_hits;
-  stats.n_weight_solved = total.weight_solves;
-  stats.n_eig_batches = total.eig_batches;
-  if (total.grid_updated)
-    stats.mean_local_obs =
-        double(total.local_obs) / double(total.grid_updated);
+  // The shard totals equal the serial tally exactly (per-column cache,
+  // integer sums), so the serial recorder reports them.
+  letkf::record_tally(total, stats, metrics_);
 
   if (metrics_) {
-    // Same kernel counters the serial Letkf::analyze records — the shard
-    // totals match them exactly (per-column cache, integer sums).
-    metrics_->count("letkf.eig_batches", total.eig_batches);
-    metrics_->count("letkf.weight_cache_hit", total.cache_hits);
-    metrics_->count("letkf.weight_cache_miss", total.weight_solves);
-    metrics_->count("letkf.eig_fail", total.eig_fail);
     metrics_->count("shard.shuffle_bytes", shuffle_bytes);
     double mx_cpu = 0;
     for (std::size_t r = 0; r < nr; ++r) {

@@ -301,6 +301,23 @@ WindowTally Letkf::analyze_window(const PreparedObs& prep,
   return tally;
 }
 
+void record_tally(const WindowTally& t, AnalysisStats& stats,
+                  util::Metrics* metrics) {
+  stats.n_grid_updated = t.grid_updated;
+  stats.n_eig_fail = t.eig_fail;
+  stats.n_weight_reuse = t.cache_hits;
+  stats.n_weight_solved = t.weight_solves;
+  stats.n_eig_batches = t.eig_batches;
+  if (t.grid_updated)
+    stats.mean_local_obs = double(t.local_obs) / double(t.grid_updated);
+  if (metrics) {
+    metrics->count("letkf.eig_batches", t.eig_batches);
+    metrics->count("letkf.weight_cache_hit", t.cache_hits);
+    metrics->count("letkf.weight_cache_miss", t.weight_solves);
+    metrics->count("letkf.eig_fail", t.eig_fail);
+  }
+}
+
 AnalysisStats Letkf::analyze(scale::Ensemble& ens, const ObsVector& obs_in,
                              const ObsOperator& op) const {
   const std::size_t k = static_cast<std::size_t>(ens.size());
@@ -326,22 +343,8 @@ AnalysisStats Letkf::analyze(scale::Ensemble& ens, const ObsVector& obs_in,
   // ---- Local analyses over the full domain as a single window.
   EnsembleSlab slab;
   for (int m = 0; m < ens.size(); ++m) slab.members.push_back(&ens.member(m));
-  const WindowTally t =
-      analyze_window(prep, slab, 0, grid_.nx(), 0, grid_.ny());
-
-  stats.n_grid_updated = t.grid_updated;
-  stats.n_eig_fail = t.eig_fail;
-  stats.n_weight_reuse = t.cache_hits;
-  stats.n_weight_solved = t.weight_solves;
-  stats.n_eig_batches = t.eig_batches;
-  if (t.grid_updated)
-    stats.mean_local_obs = double(t.local_obs) / double(t.grid_updated);
-  if (metrics_) {
-    metrics_->count("letkf.eig_batches", t.eig_batches);
-    metrics_->count("letkf.weight_cache_hit", t.cache_hits);
-    metrics_->count("letkf.weight_cache_miss", t.weight_solves);
-    metrics_->count("letkf.eig_fail", t.eig_fail);
-  }
+  record_tally(analyze_window(prep, slab, 0, grid_.nx(), 0, grid_.ny()),
+               stats, metrics_);
 
   // Refresh halos after the point-wise updates.
   for (int m = 0; m < ens.size(); ++m) ens.member(m).fill_halos_periodic();

@@ -99,6 +99,14 @@ struct WindowTally {
   std::size_t eig_batches = 0;
 };
 
+/// Fold a whole-domain tally into `stats` and record the kernel counters
+/// "letkf.eig_batches", "letkf.weight_cache_hit", "letkf.weight_cache_miss"
+/// and "letkf.eig_fail" on `metrics` (may be null).  The one recorder for
+/// Letkf::analyze and hpc::ShardedEngine::analyze, so a sharded cycle
+/// reports exactly what the serial one does.
+void record_tally(const WindowTally& t, AnalysisStats& stats,
+                  util::Metrics* metrics);
+
 class Letkf {
  public:
   Letkf(const scale::Grid& grid, LetkfConfig cfg = {});

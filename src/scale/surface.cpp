@@ -10,7 +10,8 @@ namespace bda::scale {
 using C = Constants<real>;
 
 Surface::Surface(const Grid& grid, SurfaceParams params)
-    : grid_(grid), params_(params) {}
+    : grid_(grid), params_(params), u1_(grid.nx(), grid.ny()),
+      v1_(grid.nx(), grid.ny()) {}
 
 real Surface::stability_factor_momentum(real rib) {
   // Beljaars-Holtslag (1991)-inspired damping on the stable side; Dyer-type
@@ -46,12 +47,22 @@ void Surface::step(State& s, real dt, BoundaryLayer* pbl,
       params_.diurnal_amp *
           std::sin(real(2.0 * M_PI) * (time_of_day_s - 21600.0f) / 86400.0f);
 
+  // Level-0 winds average momx(i-1)/momy(j-1), which the neighbouring
+  // column's drag rescales: read every column's wind before any column
+  // writes, so the result is independent of loop order and thread count.
+#pragma omp parallel for collapse(2)
+  for (idx i = 0; i < nx; ++i)
+    for (idx j = 0; j < ny; ++j) {
+      u1_(i, j) = s.u(i, j, 0);
+      v1_(i, j) = s.v(i, j, 0);
+    }
+
 #pragma omp parallel for collapse(2)
   for (idx i = 0; i < nx; ++i)
     for (idx j = 0; j < ny; ++j) {
       const real dens = s.dens(i, j, 0);
-      const real u1 = s.u(i, j, 0);
-      const real v1 = s.v(i, j, 0);
+      const real u1 = u1_(i, j);
+      const real v1 = v1_(i, j);
       const real wind = std::max(std::sqrt(u1 * u1 + v1 * v1), real(0.1));
       const real th1 = s.theta(i, j, 0);
       const real pres = s.pressure(i, j, 0);

@@ -40,6 +40,7 @@ class Surface {
  private:
   const Grid& grid_;
   SurfaceParams params_;
+  RField2D u1_, v1_;  ///< level-0 winds read before any drag is applied
 };
 
 }  // namespace bda::scale

@@ -100,7 +100,7 @@ void write_bdf(const std::string& path, const std::vector<FieldRecord>& recs);
 /// Read all records; throws std::runtime_error on missing/corrupt file.
 std::vector<FieldRecord> read_bdf(const std::string& path);
 
-/// Serialize to an in-memory buffer (used by the in-memory transport and by
+/// Serialize to an in-memory buffer (used by the host I/O calibration and by
 /// JIT-DT framing tests).
 std::vector<std::uint8_t> encode_bdf(const std::vector<FieldRecord>& recs);
 std::vector<FieldRecord> decode_bdf(const std::vector<std::uint8_t>& buf);

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <stdexcept>
 
 #include "util/binary_io.hpp"
@@ -70,7 +72,10 @@ void save_ensemble(const std::string& dir, const scale::Ensemble& ens) {
   if (!manifest)
     throw std::runtime_error("checkpoint: cannot write manifest in " + dir);
   manifest << "members = " << ens.size() << "\n";
-  manifest << "time = " << ens.time() << "\n";
+  // Full round-trip precision: at the default 6 significant digits a
+  // month-long run's clock (1.00003e+06 s by day 12) reloads wrong.
+  manifest << std::setprecision(std::numeric_limits<double>::max_digits10)
+           << "time = " << ens.time() << "\n";
 }
 
 void load_ensemble(const std::string& dir, scale::Ensemble& ens) {

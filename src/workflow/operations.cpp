@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hpc/scheduler.hpp"
 #include "util/stats.hpp"
 
 namespace bda::workflow {
@@ -72,10 +73,9 @@ std::vector<CycleRecord> OperationSimulator::run(std::size_t n_cycles,
   };
 
   // --- forecast scheduler state (rotating groups, part <2>): the same
-  // admission policy object as ForecastScheduler and the PipelinedDriver,
-  // so drop/queue semantics cannot drift between the consumers.
-  hpc::RotatingGroupPool pool(cfg_.scheduler.n_groups,
-                              cfg_.max_forecast_wait_s);
+  // admission policy object as the PipelinedDriver, so drop/queue
+  // semantics cannot drift between the twin and the implementation.
+  hpc::RotatingGroupPool pool(cfg_.forecast_groups, cfg_.max_forecast_wait_s);
 
   jitdt::JitDtLink link(cfg_.jitdt);
   const double domain_km2 = 128.0 * 128.0;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "hpc/perf_model.hpp"
-#include "hpc/scheduler.hpp"
 #include "jitdt/transfer.hpp"
 #include "util/rng.hpp"
 
@@ -48,7 +47,7 @@ struct OperationConfig {
   double product_bytes = 400.0e6;       ///< 11-member forecast product
   jitdt::JitDtConfig jitdt;
   hpc::FugakuSpec fugaku;
-  hpc::SchedulerConfig scheduler;       ///< part <2> rotation
+  int forecast_groups = 4;              ///< part <2> rotating node groups
   RainClimatology rain;
   OutageModel outages;
   // Problem size (paper values).

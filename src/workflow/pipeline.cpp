@@ -1,6 +1,8 @@
 #include "workflow/pipeline.hpp"
 
+#include <algorithm>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "serve/publisher.hpp"
@@ -11,11 +13,12 @@ namespace bda::workflow {
 PipelinedDriver::PipelinedDriver(BdaSystem& sys, PipelineConfig cfg,
                                  util::Metrics* metrics)
     : sys_(sys), cfg_(cfg), metrics_(metrics),
-      t0_(std::chrono::steady_clock::now()) {
+      t0_(std::chrono::steady_clock::now()),
+      pool_(std::max(cfg.n_groups, 1)) {
   if (cfg_.n_groups < 1) cfg_.n_groups = 1;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    groups_.resize(static_cast<std::size_t>(cfg_.n_groups));
+    slots_.resize(static_cast<std::size_t>(cfg_.n_groups));
   }
   threads_.reserve(static_cast<std::size_t>(cfg_.n_groups));
   for (int g = 0; g < cfg_.n_groups; ++g)
@@ -37,10 +40,9 @@ void PipelinedDriver::worker(int g) {
     std::unique_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return shutdown_ || groups_[gi].job != nullptr; });
-      if (groups_[gi].job == nullptr) return;  // shutdown, nothing pending
-      job = std::move(groups_[gi].job);
+      work_cv_.wait(lock, [&] { return shutdown_ || slots_[gi] != nullptr; });
+      if (slots_[gi] == nullptr) return;  // shutdown, nothing pending
+      job = std::move(slots_[gi]);
     }
 
     // <2>: the 30-minute product forecast from the analysis mean, plus the
@@ -68,39 +70,33 @@ void PipelinedDriver::worker(int g) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       products_.push_back(rec);
-      groups_[gi].busy = false;
-      groups_[gi].last_free_s = t_done;
+      pool_.release(g, t_done);
     }
     idle_cv_.notify_all();
   }
 }
 
 void PipelinedDriver::submit_product(std::size_t cycle, double t_obs_s) {
-  // Rotating-group admission, wall-clock flavor of RotatingGroupPool with a
-  // zero wait budget: take the free group idle the longest; if all groups
-  // are busy the forecast is dropped (a fresher analysis supersedes it).
+  // Zero wait budget: the forecast starts now on a free group or is dropped
+  // (a fresher analysis supersedes it).  Its runtime is unknown here, so
+  // the group stays busy until the worker releases it.
+  constexpr double kUntilReleased = std::numeric_limits<double>::infinity();
   double sleep_s = cfg_.forecast_sleep_s;
   if (cfg_.sleep_for_cycle) sleep_s = cfg_.sleep_for_cycle(cycle);
 
-  int best = -1;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-      if (groups_[g].busy) continue;
-      if (best < 0 ||
-          groups_[g].last_free_s < groups_[static_cast<std::size_t>(best)]
-                                       .last_free_s)
-        best = static_cast<int>(g);
-    }
-    if (best < 0) {
+    // Read the clock under the lock, after any release it could race with,
+    // so a group freed before this admission is never seen as busy.
+    const double t_admit = now_s();
+    const hpc::GroupAdmission adm = pool_.admit(t_admit, kUntilReleased);
+    if (!adm.admitted) {
       ++dropped_;
       if (metrics_) metrics_->count("pipeline.dropped");
       return;
     }
-    auto& grp = groups_[static_cast<std::size_t>(best)];
-    grp.busy = true;
-    grp.job = std::make_unique<Job>(cycle, t_obs_s, now_s(), sleep_s,
-                                    sys_.ensemble().mean());
+    slots_[static_cast<std::size_t>(adm.group)] = std::make_unique<Job>(
+        cycle, t_obs_s, t_admit, sleep_s, sys_.ensemble().mean());
     ++launched_;
     if (metrics_) metrics_->count("pipeline.launched");
   }
@@ -154,11 +150,8 @@ std::vector<CycleResult> PipelinedDriver::run(std::size_t n_cycles) {
 
 void PipelinedDriver::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [&] {
-    for (const auto& g : groups_)
-      if (g.busy) return false;
-    return true;
-  });
+  // Every admitted forecast leaves exactly one ProductRecord.
+  idle_cv_.wait(lock, [&] { return products_.size() == launched_; });
 }
 
 std::vector<ProductRecord> PipelinedDriver::products() const {

@@ -11,8 +11,8 @@
 //   overlap task   : JIT-DT transfer + regrid (joined before the LETKF)
 //   worker threads : one per rotating group, running run_forecast_maps <2>
 //
-// Admission of product forecasts mirrors hpc::RotatingGroupPool with a zero
-// wait budget: a cycle's forecast goes to the free group that has been idle
+// Product forecasts are admitted by hpc::RotatingGroupPool with a zero wait
+// budget: a cycle's forecast goes to the free group that has been idle
 // longest; if every group is busy the forecast is dropped (the Fig 5 gap)
 // and counted.  Workers read a private copy of the ensemble mean, so the
 // assimilation state is never shared — which is why the driver's analyses
@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "hpc/scheduler.hpp"
 #include "util/annotations.hpp"
 #include "util/metrics.hpp"
 #include "workflow/cycle.hpp"
@@ -128,15 +129,9 @@ class PipelinedDriver {
         : cycle(c), t_obs_s(t_obs), t_admit_s(t_admit), sleep_s(sleep),
           init(std::move(s)) {}
   };
-  struct Group {
-    bool busy = false;           ///< admitted job not yet completed
-    std::unique_ptr<Job> job;    ///< handoff slot (set iff busy, pre-pickup)
-    double last_free_s = 0;      ///< when the group last went idle (wall)
-  };
-
   void worker(int g);
-  /// Admit the cycle's product forecast to the longest-idle free group, or
-  /// drop it.  Main thread only.
+  /// Admit the cycle's product forecast through pool_, or drop it.  Main
+  /// thread only.
   void submit_product(std::size_t cycle, double t_obs_s);
   double now_s() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -154,7 +149,11 @@ class PipelinedDriver {
                                                     ///< job / shutdown
   std::condition_variable idle_cv_ BDA_CV_OF(mu_);  ///< wakes drain() on
                                                     ///< completion
-  std::vector<Group> groups_ BDA_GUARDED_BY(mu_);
+  /// Wall-clock admission: a group admitted at now_s() stays busy until
+  /// its worker releases it at completion.
+  hpc::RotatingGroupPool pool_ BDA_GUARDED_BY(mu_);
+  /// Per-group handoff slot: set on admission, emptied by the worker.
+  std::vector<std::unique_ptr<Job>> slots_ BDA_GUARDED_BY(mu_);
   std::vector<ProductRecord> products_ BDA_GUARDED_BY(mu_);
   std::size_t launched_ BDA_GUARDED_BY(mu_) = 0;
   std::size_t dropped_ BDA_GUARDED_BY(mu_) = 0;

@@ -1,116 +1,129 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "hpc/scheduler.hpp"
 
 namespace bda::hpc {
 namespace {
 
-TEST(ForecastScheduler, PaperConfigurationNeverDrops) {
+// The operational cadence: one admission per 30-s cycle against a zero
+// wait budget (instantaneous or skipped), `runtimes[c]` or `runtime_s` per
+// job.  Returns one admission outcome per cycle, in time order.
+std::vector<GroupAdmission> rotate(RotatingGroupPool& pool,
+                                   std::size_t n_cycles, double runtime_s,
+                                   const std::vector<double>* runtimes =
+                                       nullptr) {
+  std::vector<GroupAdmission> out;
+  for (std::size_t c = 0; c < n_cycles; ++c)
+    out.push_back(pool.admit(30.0 * double(c),
+                             runtimes ? (*runtimes)[c] : runtime_s));
+  return out;
+}
+
+std::size_t count_dropped(const std::vector<GroupAdmission>& adms) {
+  std::size_t n = 0;
+  for (const auto& a : adms)
+    if (!a.admitted) ++n;
+  return n;
+}
+
+TEST(RotatingGroupPool, PaperConfigurationNeverDrops) {
   // 4 groups x 30-s stagger covers the 120-s runtime exactly: one product
   // forecast per 30 s, as in the operational deployment.
-  ForecastScheduler sched({880, 4, 30.0, 120.0});
-  const auto jobs = sched.simulate(200);
-  for (const auto& j : jobs) EXPECT_FALSE(j.dropped);
-  // Completion exactly runtime after each admission.
-  for (std::size_t c = 0; c < jobs.size(); ++c) {
-    EXPECT_DOUBLE_EQ(jobs[c].t_init, 30.0 * double(c));
-    EXPECT_DOUBLE_EQ(jobs[c].t_done - jobs[c].t_start, 120.0);
+  RotatingGroupPool pool(4);
+  const auto adms = rotate(pool, 200, 120.0);
+  EXPECT_EQ(count_dropped(adms), 0u);
+  // Each starts on arrival and completes exactly one runtime later.
+  for (std::size_t c = 0; c < adms.size(); ++c) {
+    EXPECT_DOUBLE_EQ(adms[c].t_start, 30.0 * double(c));
+    EXPECT_DOUBLE_EQ(adms[c].t_done - adms[c].t_start, 120.0);
   }
 }
 
-TEST(ForecastScheduler, GroupsRotateRoundRobin) {
-  ForecastScheduler sched({880, 4, 30.0, 120.0});
-  const auto jobs = sched.simulate(12);
-  for (std::size_t c = 4; c < jobs.size(); ++c)
-    EXPECT_EQ(jobs[c].group, jobs[c - 4].group);
+TEST(RotatingGroupPool, GroupsRotateRoundRobin) {
+  RotatingGroupPool pool(4);
+  const auto adms = rotate(pool, 12, 120.0);
+  for (std::size_t c = 4; c < adms.size(); ++c)
+    EXPECT_EQ(adms[c].group, adms[c - 4].group);
 }
 
-TEST(ForecastScheduler, UndersizedPoolDrops) {
+TEST(RotatingGroupPool, UndersizedPoolDrops) {
   // 2 groups cannot sustain a 120-s runtime every 30 s: half the cycles
   // find no free group.
-  ForecastScheduler sched({880, 2, 30.0, 120.0});
-  const auto jobs = sched.simulate(100);
-  std::size_t dropped = 0;
-  for (const auto& j : jobs)
-    if (j.dropped) ++dropped;
+  RotatingGroupPool pool(2);
+  const std::size_t dropped = count_dropped(rotate(pool, 100, 120.0));
   EXPECT_GT(dropped, 40u);
   EXPECT_LT(dropped, 60u);
 }
 
-TEST(ForecastScheduler, ShortRuntimeLeavesGroupsIdle) {
-  ForecastScheduler sched({880, 4, 30.0, 25.0});
-  const auto jobs = sched.simulate(50);
-  for (const auto& j : jobs) EXPECT_FALSE(j.dropped);
+TEST(RotatingGroupPool, ShortRuntimeLeavesGroupsIdle) {
+  RotatingGroupPool pool(4);
+  EXPECT_EQ(count_dropped(rotate(pool, 50, 25.0)), 0u);
   // Only one group ever busy at a time.
-  EXPECT_LE(sched.peak_nodes_used(), sched.nodes_per_group());
+  EXPECT_LE(pool.peak_busy(), 1);
 }
 
-TEST(ForecastScheduler, PeakNodesBoundedByPool) {
-  ForecastScheduler sched({880, 4, 30.0, 119.0});
-  sched.simulate(100);
-  EXPECT_LE(sched.peak_nodes_used(), 880);
-  EXPECT_EQ(sched.nodes_per_group(), 220);
+TEST(RotatingGroupPool, PeakBusyBoundedByPool) {
+  RotatingGroupPool pool(4);
+  rotate(pool, 100, 119.0);
+  EXPECT_LE(pool.peak_busy(), pool.n_groups());
 }
 
-TEST(ForecastScheduler, VariableRuntimesHandled) {
-  // Rain-dependent runtimes: some cycles run long; the scheduler absorbs
+TEST(RotatingGroupPool, VariableRuntimesHandled) {
+  // Rain-dependent runtimes: some cycles run long; the rotation absorbs
   // moderate excursions without dropping everything.
-  ForecastScheduler sched({880, 4, 30.0, 110.0});
   std::vector<double> runtimes(60, 110.0);
   for (std::size_t c = 20; c < 24; ++c) runtimes[c] = 125.0;  // heavy rain
-  const auto jobs = sched.simulate(60, &runtimes);
-  std::size_t dropped = 0;
-  for (const auto& j : jobs)
-    if (j.dropped) ++dropped;
-  EXPECT_LE(dropped, 4u);
+  RotatingGroupPool pool(4);
+  EXPECT_LE(count_dropped(rotate(pool, 60, 0.0, &runtimes)), 4u);
 }
 
-TEST(ForecastScheduler, DroppedJobsHaveNoGroup) {
-  ForecastScheduler sched({880, 1, 30.0, 120.0});
-  const auto jobs = sched.simulate(10);
-  for (const auto& j : jobs)
-    if (j.dropped) {
-      EXPECT_EQ(j.group, -1);
-      EXPECT_DOUBLE_EQ(j.t_done, 0.0);
+TEST(RotatingGroupPool, DroppedJobsHaveNoGroup) {
+  RotatingGroupPool pool(1);
+  for (const auto& a : rotate(pool, 10, 120.0))
+    if (!a.admitted) {
+      EXPECT_EQ(a.group, -1);
+      EXPECT_DOUBLE_EQ(a.t_done, 0.0);
     }
 }
 
 // Regression for the peak-node accounting bug: occupancy used to be sampled
-// only after successful assignments, skipping the `dropped` branch — the
-// one branch where the partition is by definition saturated.  A drop must
-// register full-partition occupancy, both in the per-job record and in
-// peak_nodes_used().
-TEST(ForecastScheduler, DropRecordsFullPartitionOccupancy) {
-  SchedulerConfig cfg{880, 4, 30.0, 1000.0};  // every group sticks for ages
-  ForecastScheduler sched(cfg);
-  const auto jobs = sched.simulate(10);
+// only after successful assignments, skipping the dropped branch — the one
+// branch where the partition is by definition saturated.  A drop must
+// register full-partition occupancy, both in the admission record and in
+// peak_busy().
+TEST(RotatingGroupPool, DropRecordsFullPartitionOccupancy) {
+  RotatingGroupPool pool(4);
+  const auto adms = rotate(pool, 10, 1000.0);  // every group sticks for ages
   bool saw_drop = false;
-  for (const auto& j : jobs) {
-    if (j.dropped) {
+  for (const auto& a : adms) {
+    if (!a.admitted) {
       saw_drop = true;
-      EXPECT_EQ(j.groups_busy, cfg.n_groups);  // saturation, observed
+      EXPECT_EQ(a.busy_before, 4);  // saturation, observed
     } else {
-      EXPECT_GE(j.groups_busy, 1);
-      EXPECT_LE(j.groups_busy, cfg.n_groups);
+      EXPECT_GE(a.busy_before + 1, 1);
+      EXPECT_LE(a.busy_before + 1, 4);
     }
   }
   ASSERT_TRUE(saw_drop);
-  EXPECT_EQ(sched.peak_nodes_used(), cfg.total_nodes);
+  EXPECT_EQ(pool.peak_busy(), 4);
 }
 
-TEST(ForecastScheduler, SingleGroupDropPeaksAtOneGroup) {
+TEST(RotatingGroupPool, SingleGroupDropPeaksAtOneGroup) {
   // With one group and a long runtime, every cycle after the first drops;
-  // the peak is exactly one group's nodes — never zero (the pre-fix
-  // behavior when the only admission happened at zero occupancy).
-  ForecastScheduler sched({880, 1, 30.0, 10000.0});
-  const auto jobs = sched.simulate(5);
-  EXPECT_FALSE(jobs[0].dropped);
-  EXPECT_EQ(jobs[0].groups_busy, 1);
-  for (std::size_t c = 1; c < jobs.size(); ++c) {
-    EXPECT_TRUE(jobs[c].dropped);
-    EXPECT_EQ(jobs[c].groups_busy, 1);  // the single group == saturation
+  // the peak is exactly one group — never zero (the pre-fix behavior when
+  // the only admission happened at zero occupancy).
+  RotatingGroupPool pool(1);
+  const auto adms = rotate(pool, 5, 10000.0);
+  EXPECT_TRUE(adms[0].admitted);
+  EXPECT_EQ(adms[0].busy_before, 0);
+  for (std::size_t c = 1; c < adms.size(); ++c) {
+    EXPECT_FALSE(adms[c].admitted);
+    EXPECT_EQ(adms[c].busy_before, 1);  // the single group == saturation
   }
-  EXPECT_EQ(sched.peak_nodes_used(), 880);
+  EXPECT_EQ(pool.peak_busy(), 1);
 }
 
 // --- RotatingGroupPool: the one shared admission policy -------------------
@@ -165,31 +178,25 @@ TEST(RotatingGroupPool, ResetForgetsOccupancy) {
   EXPECT_TRUE(pool.admit(0.0, 1.0).admitted);
 }
 
-// Satellite of the dedup fix: ForecastScheduler::simulate must agree with
-// the shared policy call for call — same groups, same start/done times,
-// same drops.  (Before the refactor the rotating-group logic lived twice,
-// here and in OperationSimulator, and could drift.)
-TEST(RotatingGroupPool, SchedulerAgreesWithSharedPolicy) {
-  SchedulerConfig cfg{880, 3, 30.0, 100.0};
-  std::vector<double> runtimes;
-  for (int c = 0; c < 40; ++c)
-    runtimes.push_back(80.0 + 13.0 * double(c % 5));
-
-  ForecastScheduler sched(cfg);
-  const auto jobs = sched.simulate(runtimes.size(), &runtimes);
-
-  RotatingGroupPool pool(cfg.n_groups, 0.0);
-  for (std::size_t c = 0; c < runtimes.size(); ++c) {
-    const auto adm = pool.admit(double(c) * cfg.interval_s, runtimes[c]);
-    EXPECT_EQ(jobs[c].dropped, !adm.admitted) << "cycle " << c;
-    if (adm.admitted) {
-      EXPECT_EQ(jobs[c].group, adm.group);
-      EXPECT_DOUBLE_EQ(jobs[c].t_start, adm.t_start);
-      EXPECT_DOUBLE_EQ(jobs[c].t_done, adm.t_done);
-    }
-  }
-  EXPECT_EQ(sched.peak_nodes_used(),
-            pool.peak_busy() * sched.nodes_per_group());
+// The wall-clock form used by PipelinedDriver: a job of unknown runtime
+// holds its group until release(), and the next admission goes to the free
+// group idle longest (ties to the lowest index).
+TEST(RotatingGroupPool, ReleaseFreesGroupOfUnknownRuntime) {
+  constexpr double kUntilReleased = std::numeric_limits<double>::infinity();
+  RotatingGroupPool pool(3);
+  EXPECT_EQ(pool.admit(0.0, kUntilReleased).group, 0);
+  EXPECT_EQ(pool.admit(1.0, kUntilReleased).group, 1);
+  EXPECT_EQ(pool.admit(2.0, kUntilReleased).group, 2);
+  const auto full = pool.admit(3.0, kUntilReleased);
+  EXPECT_FALSE(full.admitted);
+  EXPECT_EQ(full.busy_before, 3);
+  pool.release(2, 4.0);
+  pool.release(0, 5.0);
+  EXPECT_EQ(pool.busy_at(6.0), 1);
+  const auto next = pool.admit(6.0, kUntilReleased);
+  EXPECT_TRUE(next.admitted);
+  EXPECT_EQ(next.group, 2);  // idle since 4.0, longer than group 0
+  EXPECT_DOUBLE_EQ(next.t_start, 6.0);
 }
 
 }  // namespace

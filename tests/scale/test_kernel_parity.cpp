@@ -351,6 +351,36 @@ TEST(StateSums, BitwiseInvariantAcrossThreadCounts) {
         << "total_water with " << counts[c] << " threads";
   }
 }
+
+// A whole Model::step must not depend on the OpenMP team size either.  On
+// the 4x4 edge grid most columns sit next to one another thread owns;
+// this caught the surface drag reading neighbour momx/momy while other
+// iterations rescaled them (docs/ANALYSIS.md: races inside OpenMP loop
+// bodies are invisible to TSan, so this test is their gate).
+TEST(ModelStep, BitwiseInvariantAcrossThreadCounts) {
+  const int save = omp_get_max_threads();
+  for (LateralBc bc : {LateralBc::kPeriodic, LateralBc::kClamp}) {
+    Grid g(4, 4, 12, 500.0f, 6000.0f);
+    Sounding snd = convective_sounding();
+    ModelConfig cfg;
+    cfg.physics_every = 2;
+    cfg.dyn.lateral_bc = bc;
+    auto run = [&](int threads) {
+      omp_set_num_threads(threads);
+      Model m(g, snd, cfg);
+      add_thermal_bubble(m.state(), g, 1000, 1000, 1200, 800, 500, 2.0f);
+      seed_hydrometeors(m.state());
+      for (int n = 0; n < 6; ++n) m.step();
+      return m.state();
+    };
+    const State one = run(1);
+    for (int threads : {2, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      expect_state_bitwise(one, run(threads));
+    }
+  }
+  omp_set_num_threads(save);
+}
 #endif
 
 }  // namespace

@@ -85,6 +85,26 @@ TEST(Checkpoint, EnsembleRoundtripRestoresMembersAndTime) {
   fs::remove_all(dir);
 }
 
+// The manifest clock must survive a month run: after 2,500,075 steps of
+// dt = 0.4 s (t = 1,000,030 s, day 11.6) the default 6-significant-digit
+// stream wrote "1.00003e+06" and the reloaded clock lost the fraction.
+TEST(Checkpoint, EnsembleTimeRoundtripsAtMonthScale) {
+  Grid g = cgrid();
+  scale::Ensemble ens(g, scale::convective_sounding(), light(), 2);
+  double t = 0;
+  for (long n = 0; n < 2500075; ++n) t += double(0.4f);  // Ensemble's clock
+  ASSERT_GT(t, 1000030.0);
+  ens.set_time(t);
+  const auto dir = (fs::temp_directory_path() / "bda_ckpt_month").string();
+  fs::remove_all(dir);
+  save_ensemble(dir, ens);
+
+  scale::Ensemble fresh(g, scale::convective_sounding(), light(), 2);
+  load_ensemble(dir, fresh);
+  EXPECT_EQ(fresh.time(), t);
+  fs::remove_all(dir);
+}
+
 TEST(Checkpoint, EnsembleSizeMismatchRejected) {
   Grid g = cgrid();
   scale::Ensemble ens(g, scale::convective_sounding(), light(), 3);
