@@ -8,10 +8,11 @@
 // (enabled via -Wthread-safety whenever the compiler is clang; they expand
 // to nothing elsewhere, so GCC builds are unaffected).
 //
-// tools/check_bda_style.py additionally cross-checks the annotations against
-// the implementation files on every lint run, so the discipline holds even
-// on a GCC-only toolchain: a member declared BDA_GUARDED_BY(mu_) may only be
-// touched from functions that lock `mu_` or are marked BDA_REQUIRES(mu_).
+// tools/bda_analyze (guarded-by) additionally cross-checks the annotations
+// against the implementation files on every lint run, so the discipline
+// holds even on a GCC-only toolchain: a member declared BDA_GUARDED_BY(mu_)
+// may only be touched from functions that lock `mu_` or are marked
+// BDA_REQUIRES(mu_).
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -49,8 +50,7 @@
 /// Deliberately expands to nothing on every compiler — notifying without
 /// the lock held is legal and intentional here (PipelinedDriver notifies
 /// after unlock), so this must NOT become a clang guarded_by attribute.
-/// It exists for the machines: tools/bda_analyze (mutex-annotation check)
-/// requires every condition_variable to carry one, and
-/// tools/check_bda_style.py cross-checks that functions touching the cv
-/// also name the mutex.
+/// It exists for the machines: tools/bda_analyze requires every
+/// condition_variable to carry one (mutex-annotation) and cross-checks that
+/// functions touching the cv also name the mutex (guarded-by).
 #define BDA_CV_OF(x)

@@ -21,8 +21,8 @@ namespace bda::io {
 // The repo's single home for byte-level type punning.  Everything goes
 // through std::memcpy on trivially-copyable types (defined behaviour, and
 // compilers lower it to plain loads/stores), so serializers elsewhere never
-// need a reinterpret_cast of their own — tools/check_bda_style.py enforces
-// that only util/binary_io.cpp may spell one.
+// need a reinterpret_cast of their own — tools/bda_analyze (reinterpret-cast)
+// enforces that only util/binary_io.cpp may spell one.
 
 /// Append the object representation of `v` to `buf` (native endianness).
 template <typename T>

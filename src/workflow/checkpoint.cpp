@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/binary_io.hpp"
@@ -68,29 +69,39 @@ void save_ensemble(const std::string& dir, const scale::Ensemble& ens) {
   std::filesystem::create_directories(dir);
   for (int m = 0; m < ens.size(); ++m)
     save_state(dir + "/member_" + std::to_string(m) + ".bdf", ens.member(m));
-  std::ofstream manifest(dir + "/manifest.txt", std::ios::trunc);
-  if (!manifest)
-    throw std::runtime_error("checkpoint: cannot write manifest in " + dir);
+  std::ostringstream manifest;
   manifest << "members = " << ens.size() << "\n";
   // Full round-trip precision: at the default 6 significant digits a
   // month-long run's clock (1.00003e+06 s by day 12) reloads wrong.
   manifest << std::setprecision(std::numeric_limits<double>::max_digits10)
            << "time = " << ens.time() << "\n";
+  const std::string text = manifest.str();
+  io::write_file_atomic(dir + "/manifest.txt",
+                        std::vector<std::uint8_t>(text.begin(), text.end()),
+                        "checkpoint");
 }
 
 void load_ensemble(const std::string& dir, scale::Ensemble& ens) {
   std::ifstream manifest(dir + "/manifest.txt");
   if (!manifest)
     throw std::runtime_error("checkpoint: no manifest in " + dir);
+  // Both keys are required: a manifest cut off after `members` must not
+  // load as a checkpoint taken at t = 0.  A value that does not parse
+  // fails the stream and ends the scan with its key still unset.
   std::string key, eq;
   int members = 0;
   double time = 0;
+  bool have_members = false, have_time = false;
   while (manifest >> key >> eq) {
     if (key == "members")
-      manifest >> members;
+      have_members = static_cast<bool>(manifest >> members);
     else if (key == "time")
-      manifest >> time;
+      have_time = static_cast<bool>(manifest >> time);
   }
+  if (!have_members || !have_time)
+    throw std::runtime_error("checkpoint: manifest in " + dir +
+                             " lacks a valid '" +
+                             (have_members ? "time" : "members") + "' entry");
   if (members != ens.size())
     throw std::runtime_error("checkpoint: ensemble size mismatch (" +
                              std::to_string(members) + " vs " +

@@ -24,10 +24,13 @@ void save_state(const std::string& path, const scale::State& s);
 void load_state(const std::string& path, scale::State& s);
 
 /// Checkpoint a full ensemble (one file per member + a manifest carrying
-/// the cycle time and member count) into `dir`.
+/// the cycle time and member count) into `dir`.  Each file is replaced
+/// atomically; the set as a whole is not.
 void save_ensemble(const std::string& dir, const scale::Ensemble& ens);
 
 /// Restore member states + time into an ensemble of matching size/shape.
+/// Throws std::runtime_error when the manifest lacks a parseable `members`
+/// or `time`, or when the sizes do not match.
 void load_ensemble(const std::string& dir, scale::Ensemble& ens);
 
 }  // namespace bda::workflow

@@ -15,6 +15,23 @@ scale::ModelConfig adjusted_model(const BdaSystemConfig& cfg) {
     m.dyn.lateral_bc = scale::LateralBc::kClamp;
   return m;
 }
+
+/// Column reflectivity [dBZ] of `s` on the model level containing
+/// `height_m` (the top level when the height lies above the domain).
+RField2D reflectivity_at_height(const scale::Grid& grid,
+                                const scale::State& s, real height_m) {
+  idx kz = grid.nz() - 1;
+  for (idx k = 0; k < grid.nz(); ++k)
+    if (height_m < grid.zf(k + 1)) {
+      kz = k;
+      break;
+    }
+  RField2D out(s.nx, s.ny, 0);
+  for (idx i = 0; i < s.nx; ++i)
+    for (idx j = 0; j < s.ny; ++j)
+      out(i, j) = scale::cell_reflectivity_dbz(s, i, j, kz);
+  return out;
+}
 }  // namespace
 
 BdaSystem::BdaSystem(const scale::Grid& grid, const scale::Sounding& sounding,
@@ -220,17 +237,7 @@ CycleResult BdaSystem::cycle() {
 
 RField2D BdaSystem::reflectivity_map(const scale::State& s,
                                      real height_m) const {
-  idx kz = grid_.nz() - 1;
-  for (idx k = 0; k < grid_.nz(); ++k)
-    if (height_m < grid_.zf(k + 1)) {
-      kz = k;
-      break;
-    }
-  RField2D out(s.nx, s.ny, 0);
-  for (idx i = 0; i < s.nx; ++i)
-    for (idx j = 0; j < s.ny; ++j)
-      out(i, j) = scale::cell_reflectivity_dbz(s, i, j, kz);
-  return out;
+  return reflectivity_at_height(grid_, s, height_m);
 }
 
 std::vector<RField2D> run_forecast_maps(const scale::Grid& grid,
@@ -243,26 +250,12 @@ std::vector<RField2D> run_forecast_maps(const scale::Grid& grid,
   scale::Model fc(grid, sounding, cfg);
   fc.state() = init;
 
-  idx kz = grid.nz() - 1;
-  for (idx k = 0; k < grid.nz(); ++k)
-    if (height_m < grid.zf(k + 1)) {
-      kz = k;
-      break;
-    }
-  auto map_now = [&]() {
-    RField2D out(grid.nx(), grid.ny(), 0);
-    for (idx i = 0; i < grid.nx(); ++i)
-      for (idx j = 0; j < grid.ny(); ++j)
-        out(i, j) = scale::cell_reflectivity_dbz(fc.state(), i, j, kz);
-    return out;
-  };
-
   std::vector<RField2D> maps;
-  maps.push_back(map_now());
+  maps.push_back(reflectivity_at_height(grid, fc.state(), height_m));
   const long n_out = static_cast<long>(std::floor(lead_s / out_every_s + 0.5));
   for (long n = 0; n < n_out; ++n) {
     fc.advance(real(out_every_s));
-    maps.push_back(map_now());
+    maps.push_back(reflectivity_at_height(grid, fc.state(), height_m));
   }
   if (metrics) metrics->count("forecast.maps", maps.size());
   return maps;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "util/rng.hpp"
 #include "workflow/checkpoint.hpp"
@@ -120,6 +121,30 @@ TEST(Checkpoint, MissingManifestRejected) {
   Grid g = cgrid();
   scale::Ensemble ens(g, scale::convective_sounding(), light(), 2);
   EXPECT_THROW(load_ensemble("/nonexistent/ckpt", ens), std::runtime_error);
+}
+
+// A manifest cut off after its `members` line (or carrying a clock that
+// does not parse) must not load as a checkpoint taken at t = 0.
+TEST(Checkpoint, ManifestMissingTimeRejected) {
+  Grid g = cgrid();
+  scale::Ensemble ens(g, scale::convective_sounding(), light(), 2);
+  ens.set_time(42.0);
+  const auto dir = (fs::temp_directory_path() / "bda_ckpt_cut").string();
+  fs::remove_all(dir);
+  save_ensemble(dir, ens);
+  const auto manifest = dir + "/manifest.txt";
+
+  scale::Ensemble fresh(g, scale::convective_sounding(), light(), 2);
+  for (const char* body :
+       {"members = 2\n", "members = 2\ntime = \n", "members = 2\ntime = x\n",
+        "time = 42\n", "members = two\ntime = 42\n"}) {
+    std::ofstream(manifest, std::ios::trunc) << body;
+    EXPECT_THROW(load_ensemble(dir, fresh), std::runtime_error) << body;
+  }
+  std::ofstream(manifest, std::ios::trunc) << "members = 2\ntime = 42\n";
+  load_ensemble(dir, fresh);
+  EXPECT_EQ(fresh.time(), 42.0);
+  fs::remove_all(dir);
 }
 
 TEST(Checkpoint, RestartContinuesIntegration) {

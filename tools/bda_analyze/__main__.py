@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Driver for the determinism-contract analyzer.
+"""Driver for bda_analyze, the repo's static analyzer.
 
 Usage:
-  python3 tools/bda_analyze                      # whole src/ tree
+  python3 tools/bda_analyze                      # src/ tests/ bench/ examples/
   python3 tools/bda_analyze file.cpp ...         # specific files
   python3 tools/bda_analyze --json out.json      # machine-readable report
-  python3 tools/bda_analyze --frontend lexical   # force a frontend
   python3 tools/bda_analyze --check-compiledb    # probe DB freshness only
 
 Exit status: 0 clean, 1 findings, 2 usage/configuration error.
 
-The five checks and the contract each one encodes are cataloged in
-docs/ANALYSIS.md; suppressions use the repo-wide grammar
+The checks, their scopes and the contract each one encodes are cataloged
+in docs/ANALYSIS.md; suppressions use the repo-wide grammar
 `// bda-style: allow(<check>): <reason>` (reason mandatory).
 """
 
@@ -27,8 +26,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import compiledb  # noqa: E402
 import facts as facts_mod  # noqa: E402
-import frontend_libclang  # noqa: E402
-from checks import ALL_CHECKS  # noqa: E402
+from checks import ALL_CHECKS, SOURCE_TREES  # noqa: E402
 from report import Report, Suppressions  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -38,49 +36,47 @@ REPO = Path(__file__).resolve().parent.parent.parent
 class TreeFacts:
     """Cross-file facts shared by every check invocation."""
     status_functions: dict[str, str] = field(default_factory=dict)
+    locks: dict[str, facts_mod.LockFacts] = field(default_factory=dict)
+
+
+def _rel(repo: Path, path: Path) -> str:
+    return str(path.relative_to(repo)).replace(os.sep, "/")
 
 
 def discover_sources(repo: Path) -> list[Path]:
     out = []
-    for base in (repo / "src",):
-        for p in sorted(base.rglob("*")):
+    for tree in SOURCE_TREES:
+        for p in sorted((repo / tree).rglob("*")):
             if p.suffix in (".cpp", ".hpp", ".h", ".cc"):
                 out.append(p)
     return out
 
 
 def build_tree_facts(repo: Path, sources: list[Path]) -> TreeFacts:
-    headers = {str(p.relative_to(repo)).replace(os.sep, "/"):
-               p.read_text(errors="replace")
-               for p in sources if p.suffix in (".hpp", ".h")}
-    return TreeFacts(status_functions=facts_mod.status_function_index(headers))
+    texts = {_rel(repo, p): p.read_text(errors="replace") for p in sources}
+    headers = {rel: text for rel, text in texts.items()
+               if rel.endswith((".hpp", ".h"))}
+    return TreeFacts(
+        status_functions=facts_mod.status_function_index(headers),
+        locks={rel: facts_mod.lock_facts(text) for rel, text in texts.items()
+               if "BDA_" in text})
 
 
-def analyze(repo: Path, files: list[Path], frontend: str,
-            db: compiledb.CompileDb, checks: dict) -> Report:
-    tree_sources = discover_sources(repo)
-    tree = build_tree_facts(repo, tree_sources)
+def analyze(repo: Path, files: list[Path], checks: dict) -> Report:
+    tree = build_tree_facts(repo, discover_sources(repo))
     report = Report()
-
-    use_libclang = (frontend == "libclang" or
-                    (frontend == "auto" and frontend_libclang.available()))
-    report.frontend = "libclang" if use_libclang else "lexical"
-
     for path in files:
         try:
-            rel = str(path.resolve().relative_to(repo)).replace(os.sep, "/")
+            rel = _rel(repo, path.resolve())
         except ValueError:
             rel = str(path)
-        ff = None
-        if use_libclang:
-            ff = frontend_libclang.extract(path, rel, db.args_for(path))
-        if ff is None:
-            ff = facts_mod.extract(path, rel)
+        ff = facts_mod.extract(path, rel)
         supp = Suppressions(ff.raw)
-        for fn in checks.values():
-            fn(ff, tree, report, supp)
-        report.findings.extend(supp.bad_allow_findings(rel))
+        for in_scope, fn in checks.values():
+            if in_scope(rel):
+                fn(ff, tree, report, supp)
         report.files_analyzed += 1
+        report.trees.add(rel.split("/")[0])
     return report
 
 
@@ -90,8 +86,6 @@ def main(argv=None) -> int:
     ap.add_argument("--root", default=str(REPO), help="repo root")
     ap.add_argument("--json", metavar="PATH",
                     help="also write the findings report as JSON")
-    ap.add_argument("--frontend", choices=("auto", "lexical", "libclang"),
-                    default="auto")
     ap.add_argument("--build-dir", default=os.environ.get(
         "BDA_LINT_BUILD_DIR", "build"))
     ap.add_argument("--check-compiledb", action="store_true",
@@ -102,22 +96,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     repo = Path(args.root).resolve()
-    db = compiledb.CompileDb(repo / args.build_dir / "compile_commands.json")
 
     if args.check_compiledb:
-        reason = compiledb.staleness(repo, db.path)
+        reason = compiledb.staleness(
+            repo, repo / args.build_dir / "compile_commands.json")
         if reason:
             print(f"bda_analyze: stale compilation database: {reason}",
                   file=sys.stderr)
             return 2
         print(f"bda_analyze: {args.build_dir}/compile_commands.json is fresh")
         return 0
-
-    if args.frontend == "libclang" and not frontend_libclang.available():
-        print("bda_analyze: --frontend libclang requested but clang.cindex "
-              "is unavailable (install python3-clang + libclang)",
-              file=sys.stderr)
-        return 2
 
     checks = ALL_CHECKS
     if args.only:
@@ -138,7 +126,7 @@ def main(argv=None) -> int:
     else:
         files = discover_sources(repo)
 
-    report = analyze(repo, files, args.frontend, db, checks)
+    report = analyze(repo, files, checks)
     print(report.render_text())
     if args.json:
         Path(args.json).write_text(report.to_json())

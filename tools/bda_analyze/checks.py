@@ -1,12 +1,15 @@
-"""The five determinism-contract checks.
+"""The determinism and hygiene checks, and the files each one reads.
 
-Each check is a function (facts, tree, report) -> None that appends
-Findings.  What they encode — and why no generic tool can — is the paper's
-operational contract: the pipelined 30-s cycle must be *bitwise identical*
-to the serial cycle (docs/PIPELINE.md), which constrains where randomness
-may be drawn, how floating-point sums may be ordered, and what byte streams
-container iteration may feed.  The lock-annotation and status checks close
-the two silent-failure classes PR 1 and PR 4 fixed by hand.
+Each check is a function (facts, tree, report, supp) -> None that appends
+Findings; ALL_CHECKS pairs it with its scope, a predicate over the
+repo-relative path.  What they encode — and why no generic tool can — is
+the paper's operational contract: the pipelined 30-s cycle must be
+*bitwise identical* to the serial cycle (docs/PIPELINE.md), which
+constrains where randomness may be drawn, how floating-point sums may be
+ordered, and what byte streams container iteration may feed; and the
+single-precision hot paths must stay in float.  The lock-annotation and
+status checks close the two silent-failure classes PR 1 and PR 4 fixed by
+hand.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import re
 import cpplex
 from facts import FileFacts, _split_top_level
 from report import Finding, Report, Suppressions
+
+# The trees source discovery walks.
+SOURCE_TREES = ("src/", "tests/", "bench/", "examples/")
 
 # Where the bitwise-determinism contract applies (docs/PIPELINE.md): the
 # analysis/ensemble state path.  Checks outside these trees would flag
@@ -27,6 +33,13 @@ DETERMINISM_DIRS = ("src/letkf", "src/scale", "src/workflow")
 CYCLE_PATH_DIRS = ("src/workflow", "src/jitdt", "src/letkf", "src/scale",
                    "src/hpc", "src/pawr")
 
+# Where bda::real (float) arithmetic is the contract: the model kernels, the
+# LETKF solve, and the per-gate radar forward operator.
+HOT_PATH_DIRS = ("src/scale", "src/letkf", "src/pawr/forward")
+
+# The one file allowed to spell reinterpret_cast (util/binary_io.hpp).
+PUNNING_ALLOWED = ("src/util/binary_io.cpp",)
+
 # Files whose byte output is a product of record: container iteration order
 # here is *always* output-visible, no sink heuristic needed.
 SERIALIZATION_FILES = (
@@ -35,8 +48,8 @@ SERIALIZATION_FILES = (
 )
 
 
-def _in_dirs(rel: str, dirs) -> bool:
-    return any(rel.startswith(d) for d in dirs)
+def _under(*dirs, exclude=()):
+    return lambda rel: rel.startswith(dirs) and rel not in exclude
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +117,6 @@ def check_nondet_fp_reduction(facts: FileFacts, tree, report: Report,
     is nondeterministic even on one machine.  Integer reductions are exact
     in any order and pass.  An order-independence justification is an
     allow() with a reason."""
-    if not _in_dirs(facts.rel, DETERMINISM_DIRS):
-        return
     for pragma in facts.omp_pragmas:
         for clause in REDUCTION_CLAUSE_RE.finditer(pragma.text):
             op = clause.group(1).strip()
@@ -172,7 +183,7 @@ def check_unordered_iteration(facts: FileFacts, tree, report: Report,
     That order differs across standard libraries (and across insertions),
     so the artifact is not reproducible.  Iterate a sorted view of the
     keys, or use an ordered container."""
-    always_output = _in_dirs(facts.rel, SERIALIZATION_FILES)
+    always_output = facts.rel.startswith(SERIALIZATION_FILES)
     for loop in facts.unordered_loops:
         body = loop.body.slice(facts.code)
         sink = SINK_RE.search(body)
@@ -196,8 +207,8 @@ def check_mutex_annotation(facts: FileFacts, tree, report: Report,
     one BDA_GUARDED_BY/BDA_PT_GUARDED_BY in its class, or a BDA_REQUIRES/
     BDA_ACQUIRE in the file); every std::condition_variable member must be
     tied to its mutex with BDA_CV_OF on its own declaration.  This is what
-    keeps tools/check_bda_style.py's lock cross-check — the GCC stand-in
-    for clang -Wthread-safety — complete rather than best-effort."""
+    keeps the guarded-by cross-check — the GCC stand-in for clang
+    -Wthread-safety — complete rather than best-effort."""
     requires = set(re.findall(
         r"BDA_(?:REQUIRES|ACQUIRE|RELEASE)\(\s*([\w, ]+)\)", facts.code))
     requires = {name.strip() for grp in requires for name in grp.split(",")}
@@ -226,11 +237,6 @@ def check_mutex_annotation(facts: FileFacts, tree, report: Report,
 # ---------------------------------------------------------------------------
 # 5. unchecked-status
 
-#: Query-style names whose discarded call is almost always a smell we do
-#: not want to gate on (kept empty on purpose: discarding a predicate is a
-#: bug in this tree too — the eigensolver convergence flag was one).
-STATUS_NAME_EXEMPT: set[str] = set()
-
 DISCARD_PREFIX_RE = re.compile(r"^\s*(?:[\w:]+(?:\.|->))*$")
 
 
@@ -241,13 +247,11 @@ def check_unchecked_status(facts: FileFacts, tree, report: Report,
     dug out of the eigensolver: the operation fails, nobody notices, and
     the analysis silently degrades.  Consume the value, or cast to (void)
     with an allow() reason."""
-    if not _in_dirs(facts.rel, CYCLE_PATH_DIRS):
-        return
     index = tree.status_functions
     code = facts.code
     for m in re.finditer(r"\b(\w+)\s*\(", code):
         name = m.group(1)
-        if name not in index or name in STATUS_NAME_EXEMPT:
+        if name not in index:
             continue
         # Statement prefix: text back to the previous ;, { or } must be a
         # bare receiver chain (no assignment, return, condition, cast...).
@@ -280,10 +284,129 @@ def check_unchecked_status(facts: FileFacts, tree, report: Report,
             "it, or cast to (void) with an allow() reason"), supp)
 
 
+# ---------------------------------------------------------------------------
+# 6. double-literal
+
+# A file that is deliberately double-precision end to end (e.g. once-per-
+# cycle innovation statistics) may declare it once near the top instead of
+# annotating every line.  Must carry a reason on the same line.
+DOUBLE_OK_RE = re.compile(r"//\s*bda-style:\s*double-ok\b.*\S")
+
+# An unsuffixed floating literal: 1.5, .5, 1., 1e-4, 1.5e3 — but not 1.5f,
+# not part of an identifier or version string, not hex (0x1.8p3).
+FLOAT_LIT_RE = re.compile(
+    r"(?<![\w.])"
+    r"(?P<lit>(?:\d+\.\d*|\.\d+|\d+\.|\d+(?=[eE]))(?:[eE][+-]?\d+)?)"
+    r"(?![fFlL\w.])"
+)
+# Deliberate double math (accumulators, config fields, casts) is signalled
+# by the word `double` on the line; `constexpr` tables and `static_assert`s
+# are compile-time and promote nothing at runtime.
+DOUBLE_LINE_RE = re.compile(r"\bdouble\b|\bconstexpr\b|\bstatic_assert\b")
+# Wrapper calls whose whole argument list is explicitly typed at the use
+# site, making interior double literals fine: real(5.0 / 3.0), T(9.80665).
+WRAP_CALL_RE = re.compile(r"\b(?:real|T|double|float|idx|size_t)\s*\(")
+
+
+def _mask_wrapped_spans(line: str) -> str:
+    """Blank the argument spans of typed wrapper calls closed on `line`."""
+    for m in reversed(list(WRAP_CALL_RE.finditer(line))):
+        close = cpplex.match_forward(line, m.end() - 1)
+        if close > 0:
+            line = line[:m.end()] + " " * (close - m.end()) + line[close:]
+    return line
+
+
+def check_double_literals(facts: FileFacts, tree, report: Report,
+                          supp: Suppressions):
+    """An unsuffixed floating literal in a bda::real hot path silently
+    promotes the whole float expression to double: the paper's
+    single-precision speedup evaporates one literal at a time.  Suffix it
+    with 'f' or wrap it in real(...)."""
+    if DOUBLE_OK_RE.search("\n".join(facts.raw.split("\n")[:25])):
+        return
+    for lineno, line in enumerate(facts.code.split("\n"), 1):
+        if DOUBLE_LINE_RE.search(line):
+            continue
+        for m in FLOAT_LIT_RE.finditer(_mask_wrapped_spans(line)):
+            report.add(Finding(
+                facts.rel, lineno, "double-literal",
+                f"unsuffixed double literal '{m.group('lit')}' in a "
+                "bda::real hot path — suffix with 'f' or wrap in real(...)"),
+                supp)
+
+
+# ---------------------------------------------------------------------------
+# 7. reinterpret-cast
+
+def check_reinterpret_cast(facts: FileFacts, tree, report: Report,
+                           supp: Suppressions):
+    """All byte-level punning goes through the bda::io memcpy helpers,
+    which are defined behaviour and bounds-checked; util/binary_io.cpp is
+    the one file that may spell reinterpret_cast."""
+    for lineno, line in enumerate(facts.code.split("\n"), 1):
+        if re.search(r"\breinterpret_cast\b", line):
+            report.add(Finding(
+                facts.rel, lineno, "reinterpret-cast",
+                "reinterpret_cast outside util/binary_io — use the "
+                "bda::io put/take/append_raw helpers"), supp)
+
+
+# ---------------------------------------------------------------------------
+# 8. guarded-by
+
+def check_guarded_by(facts: FileFacts, tree, report: Report,
+                     supp: Suppressions):
+    """A member declared BDA_GUARDED_BY(mu) (or a condition variable
+    declared BDA_CV_OF(mu)) in this file or its sibling header may only be
+    touched from function bodies that also name `mu` (lock it, wait on it)
+    or that are annotated BDA_REQUIRES(mu), on the definition or on a
+    declaration.  This is the portable cross-check for clang's
+    -Wthread-safety on toolchains without clang."""
+    locks = [tree.locks.get(facts.rel)]
+    if facts.rel.endswith(".cpp"):
+        locks.append(tree.locks.get(facts.rel[:-4] + ".hpp"))
+    locks = [lk for lk in locks if lk is not None]
+    guarded = {m: mu for lk in locks for m, mu in lk.guarded.items()}
+    for fn in facts.functions:
+        body = fn.body.slice(facts.code)
+        held = set().union(*(lk.requires.get(fn.name, ()) for lk in locks))
+        for member, mu in guarded.items():
+            if mu in held or not re.search(rf"\b{member}\b", body) or \
+                    re.search(rf"\b{mu}\b", body):
+                continue
+            report.add(Finding(
+                facts.rel, facts.line(fn.body.start), "guarded-by",
+                f"'{member}' is BDA_GUARDED_BY({mu}) but this function body "
+                f"never names '{mu}' (lock it or annotate "
+                f"BDA_REQUIRES({mu}))"), supp)
+
+
+# ---------------------------------------------------------------------------
+# 9. bad-allow
+
+def check_bad_allow(facts: FileFacts, tree, report: Report,
+                    supp: Suppressions):
+    """An allow() marker without a reason suppresses nothing and is itself
+    a finding: the suppression is where the justification lives."""
+    report.findings.extend(supp.bad_allow_findings(facts.rel))
+
+
+# name -> (scope, check).  Source discovery walks SOURCE_TREES; each scope
+# narrows that to the files the check's contract covers.
 ALL_CHECKS = {
-    "rng-thread-discipline": check_rng_thread_discipline,
-    "nondet-fp-reduction": check_nondet_fp_reduction,
-    "unordered-iteration-in-output": check_unordered_iteration,
-    "mutex-annotation": check_mutex_annotation,
-    "unchecked-status": check_unchecked_status,
+    "rng-thread-discipline": (_under("src/"), check_rng_thread_discipline),
+    "nondet-fp-reduction": (_under(*DETERMINISM_DIRS),
+                            check_nondet_fp_reduction),
+    "unordered-iteration-in-output": (_under("src/"),
+                                      check_unordered_iteration),
+    # Every src/ class; elsewhere only the classes declared in headers.
+    "mutex-annotation": (lambda rel: rel.startswith("src/") or
+                         rel.endswith(".hpp"), check_mutex_annotation),
+    "unchecked-status": (_under(*CYCLE_PATH_DIRS), check_unchecked_status),
+    "double-literal": (_under(*HOT_PATH_DIRS), check_double_literals),
+    "reinterpret-cast": (_under(*SOURCE_TREES, exclude=PUNNING_ALLOWED),
+                         check_reinterpret_cast),
+    "guarded-by": (_under(*SOURCE_TREES), check_guarded_by),
+    "bad-allow": (_under(*SOURCE_TREES), check_bad_allow),
 }

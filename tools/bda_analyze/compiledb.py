@@ -1,52 +1,9 @@
-"""compile_commands.json handling: file discovery, include flags for the
-libclang frontend, and staleness detection (shared with tools/lint.sh)."""
+"""compile_commands.json staleness probe (tools/lint.sh
+--check-compiledb)."""
 
 from __future__ import annotations
 
-import json
-import shlex
 from pathlib import Path
-
-
-class CompileDb:
-    def __init__(self, path: Path):
-        self.path = path
-        self.entries: dict[Path, list[str]] = {}
-        if path.is_file():
-            for e in json.loads(path.read_text()):
-                src = (Path(e["directory"]) / e["file"]).resolve()
-                args = e.get("arguments") or shlex.split(e.get("command", ""))
-                self.entries[src] = args
-
-    @property
-    def available(self) -> bool:
-        return bool(self.entries)
-
-    def args_for(self, src: Path) -> list[str] | None:
-        """Compiler args (include dirs, -D, -std) for the libclang frontend.
-        Headers borrow the args of a sibling .cpp when they have one."""
-        src = src.resolve()
-        if src in self.entries:
-            return self._filter(self.entries[src])
-        sibling = src.with_suffix(".cpp")
-        if sibling in self.entries:
-            return self._filter(self.entries[sibling])
-        return None
-
-    @staticmethod
-    def _filter(args: list[str]) -> list[str]:
-        out, it = [], iter(args[1:])  # drop compiler path
-        for a in it:
-            if a in ("-c", "-o"):
-                next(it, None)
-                continue
-            if a.startswith(("-I", "-D", "-std", "-isystem", "-f", "-W")):
-                out.append(a)
-                if a in ("-isystem",):
-                    nxt = next(it, None)
-                    if nxt:
-                        out.append(nxt)
-        return out
 
 
 def staleness(repo: Path, db_path: Path) -> str | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def strip_code(text: str) -> str:
@@ -200,13 +200,15 @@ def find_classes(code: str) -> list[ClassBody]:
 
 
 # A function definition header: return type soup, a name, a parameter list
-# with no ';' inside, then an optional specifier run and '{'.  Constructors,
-# operators and templates are matched well enough for the whole-body scans
-# the checks do; precision comes from the checks, not from here.
+# with no ';' inside, then an optional specifier run (including thread-safety
+# annotations such as BDA_REQUIRES(mu_)) and '{'.  Constructors, operators
+# and templates are matched well enough for the whole-body scans the checks
+# do; precision comes from the checks, not from here.
 FUNC_RE = re.compile(
     r"(?:^|[;{}\n])\s*(?:template\s*<[^;{}]*>\s*)?"
     r"[\w:<>,&*~\s\[\]]*?\b([\w~]+)\s*\(([^;{}()]*(?:\([^()]*\)[^;{}()]*)*)\)"
-    r"\s*(?:const|noexcept|override|final|mutable|->\s*[\w:<>,&*\s]+|\s)*\{")
+    r"\s*(?:const|noexcept|override|final|mutable|BDA_\w+(?:\([^()]*\))?|"
+    r"->\s*[\w:<>,&*\s]+|\s)*\{")
 
 
 def find_functions(code: str) -> list[FunctionBody]:
@@ -277,7 +279,7 @@ def find_lambda_in_args(code: str, args: Span, context: str) -> list[Lambda]:
     return out
 
 
-def join_omp_pragmas(raw_text: str, code: str) -> list[OmpPragma]:
+def join_omp_pragmas(code: str) -> list[OmpPragma]:
     """'#pragma omp' directives with backslash continuations joined.
 
     Offsets/lines come from the stripped code so they line up with the other
@@ -307,12 +309,3 @@ def join_omp_pragmas(raw_text: str, code: str) -> list[OmpPragma]:
         i += 1
     return out
 
-
-def enclosing_function(functions: list[FunctionBody],
-                       offset: int) -> FunctionBody | None:
-    best = None
-    for fn in functions:
-        if fn.body.start <= offset < fn.body.end:
-            if best is None or fn.body.start > best.body.start:
-                best = fn
-    return best

@@ -1,8 +1,7 @@
-"""Structural facts extracted from one source file (lexical frontend).
+"""Structural facts extracted from one source file, plus the tree-level
+indexes (status functions, lock annotations) the cross-file checks read.
 
-A `FileFacts` is the common input contract for every check in checks.py:
-the optional libclang frontend (frontend_libclang.py) produces the same
-structure from the real AST, so checks never know which frontend ran.
+A `FileFacts` is the common input contract for every check in checks.py.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ class SyncMember:
     """A std::mutex / std::condition_variable class member."""
     kind: str               # "mutex" or "condition_variable"
     name: str
-    class_name: str
     line: int
     guarded_by: str | None  # BDA_GUARDED_BY(x) on the declaration itself
 
@@ -27,7 +25,6 @@ class SyncMember:
 @dataclass
 class ClassFacts:
     name: str
-    line: int
     keyword: str = "class"  # "class" or "struct"
     sync_members: list[SyncMember] = field(default_factory=list)
     #: mutex names referenced by BDA_GUARDED_BY/BDA_PT_GUARDED_BY anywhere
@@ -41,7 +38,6 @@ class ThreadContext:
     std::async / std::thread / a thread-vector, plus the bodies of functions
     those lambdas call within the same file — one hop)."""
     span: cpplex.Span
-    line: int
     origin: str             # e.g. "std::async", "threads_.emplace_back"
 
 
@@ -55,7 +51,6 @@ class UnorderedLoop:
 
 @dataclass
 class FileFacts:
-    path: Path
     rel: str                # repo-relative, '/'-separated
     raw: str
     code: str               # comments/strings blanked, offsets preserved
@@ -65,7 +60,6 @@ class FileFacts:
     thread_contexts: list[ThreadContext]
     unordered_loops: list[UnorderedLoop]
     omp_pragmas: list[cpplex.OmpPragma]
-    frontend: str = "lexical"
 
     def line(self, offset: int) -> int:
         return self.linemap.line(offset)
@@ -88,8 +82,7 @@ def _extract_classes(code: str, lm: cpplex.LineMap) -> list[ClassFacts]:
     out = []
     class_bodies = cpplex.find_classes(code)
     for cb in class_bodies:
-        cf = ClassFacts(name=cb.name, line=lm.line(cb.decl_offset),
-                        keyword=cb.keyword)
+        cf = ClassFacts(name=cb.name, keyword=cb.keyword)
         # Mask nested class bodies so a member is attributed only to its
         # innermost declaring class (Mailbox's cv is not CommWorld's).
         body_chars = list(cb.body.slice(code))
@@ -108,7 +101,7 @@ def _extract_classes(code: str, lm: cpplex.LineMap) -> list[ClassFacts]:
                     if m.group(1).startswith("condition_variable")
                     else "mutex")
             cf.sync_members.append(SyncMember(
-                kind=kind, name=m.group(2), class_name=cb.name,
+                kind=kind, name=m.group(2),
                 line=lm.line(cb.body.start + m.start()),
                 guarded_by=m.group(4)))
         for m in GUARD_TARGET_RE.finditer(body):
@@ -117,7 +110,7 @@ def _extract_classes(code: str, lm: cpplex.LineMap) -> list[ClassFacts]:
     return out
 
 
-def _extract_thread_contexts(code: str, lm: cpplex.LineMap,
+def _extract_thread_contexts(code: str,
                              functions: list[cpplex.FunctionBody],
                              ) -> list[ThreadContext]:
     contexts: list[ThreadContext] = []
@@ -157,9 +150,7 @@ def _extract_thread_contexts(code: str, lm: cpplex.LineMap,
         if key in seen_spans:
             continue
         seen_spans.add(key)
-        contexts.append(ThreadContext(span=lam.body,
-                                      line=lm.line(lam.intro_offset),
-                                      origin=lam.context))
+        contexts.append(ThreadContext(span=lam.body, origin=lam.context))
         # One hop: functions the lambda calls, when defined in this file,
         # also run on the worker thread (e.g. `[this, g] { worker(g); }`).
         for cm in re.finditer(r"\b(\w+)\s*\(", lam.body.slice(code)):
@@ -171,7 +162,7 @@ def _extract_thread_contexts(code: str, lm: cpplex.LineMap,
                 continue
             seen_spans.add(ckey)
             contexts.append(ThreadContext(
-                span=callee.body, line=lm.line(callee.decl_offset),
+                span=callee.body,
                 origin=f"{lam.context} -> {callee.name}()"))
     return contexts
 
@@ -222,18 +213,18 @@ def _extract_unordered_loops(code: str, lm: cpplex.LineMap,
     return out
 
 
-def extract(path: Path, rel: str, text: str | None = None) -> FileFacts:
-    raw = text if text is not None else path.read_text(errors="replace")
+def extract(path: Path, rel: str) -> FileFacts:
+    raw = path.read_text(errors="replace")
     code = cpplex.strip_code(raw)
     lm = cpplex.LineMap(code)
     functions = cpplex.find_functions(code)
     return FileFacts(
-        path=path, rel=rel, raw=raw, code=code, linemap=lm,
+        rel=rel, raw=raw, code=code, linemap=lm,
         classes=_extract_classes(code, lm),
         functions=functions,
-        thread_contexts=_extract_thread_contexts(code, lm, functions),
+        thread_contexts=_extract_thread_contexts(code, functions),
         unordered_loops=_extract_unordered_loops(code, lm),
-        omp_pragmas=cpplex.join_omp_pragmas(raw, code),
+        omp_pragmas=cpplex.join_omp_pragmas(code),
     )
 
 
@@ -293,3 +284,33 @@ def status_function_index(header_texts: dict[str, str]) -> dict:
             if entry not in index.setdefault(name, []):
                 index[name].append(entry)
     return index
+
+
+# ---------------------------------------------------------------------------
+# Tree-level facts: the lock-annotation index for guarded-by.
+
+# `member BDA_GUARDED_BY(mu)` / `cv BDA_CV_OF(mu)`; BDA_CV_OF ties a
+# condition variable to its mutex and is checked like a guarded member.
+# The negative lookahead skips the macros' own `#define` stubs.
+GUARDED_MEMBER_RE = re.compile(
+    r"\b(?!define\b)(\w+)\s*BDA_(?:GUARDED_BY|CV_OF)\(\s*(\w+)\s*\)")
+# A function declared `name(...) ... BDA_REQUIRES(mu, ...)`.
+REQUIRES_DECL_RE = re.compile(
+    r"\b(\w+)\s*\([^;{}]*\)[^;{}]*?BDA_REQUIRES\(([\w, ]*)\)")
+
+
+@dataclass
+class LockFacts:
+    """Lock annotations declared in one file."""
+    guarded: dict[str, str]          # member -> the mutex guarding it
+    requires: dict[str, set[str]]    # function name -> mutexes it requires
+
+
+def lock_facts(text: str) -> LockFacts:
+    code = cpplex.strip_code(text)
+    requires: dict[str, set[str]] = {}
+    for m in REQUIRES_DECL_RE.finditer(code):
+        requires.setdefault(m.group(1), set()).update(
+            re.findall(r"\w+", m.group(2)))
+    return LockFacts(guarded=dict(GUARDED_MEMBER_RE.findall(code)),
+                     requires=requires)

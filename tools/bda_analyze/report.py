@@ -1,6 +1,6 @@
 """Findings, suppressions and report rendering for bda_analyze.
 
-Suppression grammar (shared with tools/check_bda_style.py):
+Suppression grammar (the one grammar for every check):
 
     // bda-style: allow(<check-name>): <non-empty reason>
 
@@ -31,8 +31,12 @@ class Finding:
         return f"{self.rel}:{self.line}: [{self.check}] {self.message}"
 
 
+def _ordered(findings: list[Finding]) -> list[Finding]:
+    return sorted(findings, key=lambda f: (f.rel, f.line, f.check))
+
+
 class Suppressions:
-    """Per-file index of allow() markers, with use tracking."""
+    """Per-file index of allow() markers."""
 
     def __init__(self, raw_text: str):
         self.by_line: dict[int, list[dict]] = {}
@@ -46,7 +50,6 @@ class Suppressions:
                 "reason_ok": bool(re.search(r"\S", m.group("reason")
                                             .lstrip(":").lstrip("—-"))),
                 "comment_only": line.strip().startswith("//"),
-                "used": False,
             }
             self.by_line.setdefault(lineno, []).append(entry)
 
@@ -79,12 +82,11 @@ class Report:
         self.findings: list[Finding] = []
         self.suppressed: list[Finding] = []
         self.files_analyzed = 0
-        self.frontend = "lexical"
+        self.trees: set[str] = set()
 
     def add(self, finding: Finding, supp: Suppressions | None):
         entry = supp.match(finding.line, finding.check) if supp else None
         if entry is not None and entry["reason_ok"]:
-            entry["used"] = True
             self.suppressed.append(finding)
         else:
             self.findings.append(finding)
@@ -95,18 +97,17 @@ class Report:
                     "message": f.message}
         return json.dumps({
             "tool": "bda_analyze",
-            "frontend": self.frontend,
             "files_analyzed": self.files_analyzed,
-            "findings": [enc(f) for f in sorted(
-                self.findings, key=lambda f: (f.rel, f.line, f.check))],
-            "suppressed": [enc(f) for f in sorted(
-                self.suppressed, key=lambda f: (f.rel, f.line, f.check))],
+            "findings": [enc(f) for f in _ordered(self.findings)],
+            "suppressed": [enc(f) for f in _ordered(self.suppressed)],
         }, indent=2) + "\n"
 
     def render_text(self) -> str:
-        lines = [f.render() for f in sorted(
-            self.findings, key=lambda f: (f.rel, f.line, f.check))]
+        lines = [f.render() for f in _ordered(self.findings)]
+        lines += [f"suppressed: {f.rel}:{f.line} [{f.check}]"
+                  for f in _ordered(self.suppressed)]
         tail = (f"bda_analyze: {len(self.findings)} finding(s), "
                 f"{len(self.suppressed)} suppressed, "
-                f"{self.files_analyzed} file(s) [{self.frontend} frontend]")
+                f"{self.files_analyzed} file(s) in "
+                f"{', '.join(sorted(self.trees))}")
         return "\n".join(lines + [tail])

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Golden-fixture selftest for the determinism-contract analyzer.
+"""Golden-fixture selftest for the bda_analyze static analyzer.
 
-fixtures/ is a miniature repo (fixtures/src/...) so the path-gated checks
-see the directories they gate on.  Each fixture seeds violations marked
-inline:
+fixtures/ is a miniature repo (fixtures/{src,tests,bench}/...) so the
+path-scoped checks see the directories they gate on.  Each fixture seeds
+violations marked inline:
 
     // EXPECT: <check-name>         finding expected on this line
     // EXPECT-NEXT: <check-name>    finding expected on the next line
@@ -33,7 +33,7 @@ EXPECT_SUPP_RE = re.compile(r"EXPECT-SUPPRESSED:\s*(?P<check>[\w-]+)")
 def harvest_expected():
     findings: set[tuple[str, int, str]] = set()
     suppressed: dict[str, list[str]] = {}
-    for p in sorted((FIXTURES / "src").rglob("*")):
+    for p in sorted(FIXTURES.rglob("*")):
         if p.suffix not in (".cpp", ".hpp", ".h", ".cc"):
             continue
         rel = p.relative_to(FIXTURES).as_posix()
@@ -53,7 +53,7 @@ def main() -> int:
         out = Path(td) / "report.json"
         proc = subprocess.run(
             [sys.executable, str(HERE), "--root", str(FIXTURES),
-             "--frontend", "lexical", "--json", str(out)],
+             "--json", str(out)],
             capture_output=True, text=True)
         if proc.returncode not in (0, 1):
             print("selftest: analyzer crashed "

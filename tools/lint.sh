@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Lint gate for the BDA tree: the repo-specific style checker, the
-# determinism-contract analyzer, and clang-tidy (when available).  CI runs
-# this on every push; run it locally before sending a change touching the
-# concurrent cycle path.
+# Lint gate for the BDA tree: the repo's static analyzer (tools/bda_analyze)
+# and clang-tidy (when available).  CI runs this on every push; run it
+# locally before sending a change touching the concurrent cycle path.
 #
 # Usage:
 #   tools/lint.sh                 # all stages over the whole tree
@@ -15,8 +14,8 @@
 # A missing or stale database is a hard failure, not a silent skip: a tidy
 # pass against yesterday's flags proves nothing about today's tree.  Only a
 # toolchain without clang-tidy itself skips the tidy stage with a notice
-# (the two Python gates and the -Werror build still gate), so the script
-# stays usable in minimal containers.
+# (the analyzer and the -Werror build still gate), so the script stays
+# usable in minimal containers.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,12 +23,9 @@ cd "$(dirname "$0")/.."
 build_dir="${BDA_LINT_BUILD_DIR:-build}"
 status=0
 
-echo "== check_bda_style =="
-python3 tools/check_bda_style.py || status=1
-
 echo "== bda_analyze =="
-# The lexical frontend needs no compiler toolchain; BDA_ANALYZE_JSON lets CI
-# upload the findings report as an artifact next to the bench JSON.
+# Pure Python, no compiler toolchain needed; BDA_ANALYZE_JSON lets CI upload
+# the findings report as an artifact next to the bench JSON.
 if [[ -n "${BDA_ANALYZE_JSON:-}" ]]; then
   python3 tools/bda_analyze --root . --json "${BDA_ANALYZE_JSON}" || status=1
 else
@@ -38,7 +34,7 @@ fi
 
 echo "== clang-tidy =="
 if ! command -v clang-tidy >/dev/null 2>&1; then
-  echo "clang-tidy not found on PATH — skipping (the Python gates still ran)."
+  echo "clang-tidy not found on PATH — skipping (bda_analyze still ran)."
 elif [[ ! -f "${build_dir}/compile_commands.json" ]]; then
   echo "lint: no ${build_dir}/compile_commands.json — configure first:" >&2
   echo "  cmake --preset release" >&2
