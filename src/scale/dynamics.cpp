@@ -1,9 +1,9 @@
-// Restructured (raw-speed) dynamics kernels: flux-once plane buffers,
-// SoA-batched vertical implicit solve, and `#pragma omp simd` inner loops
-// over contiguous k-columns.  Per point the arithmetic expression sequence
-// is identical to the seed path in dynamics_ref.cpp, so the results are
-// bitwise-equal — bench_scale_kernels and test_kernel_parity enforce this
-// (docs/SCALE_KERNELS.md).
+// Dynamics kernels: flux-once plane buffers, SoA-batched vertical implicit
+// solve, and `#pragma omp simd` inner loops over contiguous k-columns.  Per
+// point the arithmetic expression sequence is identical to the seed
+// kernels kept as the test oracle (tests/support/scale_oracle), so the
+// results are bitwise-equal — bench_scale_kernels and test_kernel_parity
+// enforce this (docs/SCALE_KERNELS.md).
 #include "scale/dynamics.hpp"
 
 #include <algorithm>
@@ -48,7 +48,7 @@ Dynamics::Dynamics(const Grid& grid, const ReferenceState& ref,
   pref_.resize(static_cast<std::size_t>(grid.nz()));
   for (idx k = 0; k < grid.nz(); ++k)
     pref_[k] = eos_pressure(ref.dens[k] * ref.theta[k]);
-  // Sponge coefficient s^2/tau per z-face, with s exactly as the seed path
+  // Sponge coefficient s^2/tau per z-face, with s exactly as the seed kernel
   // computes it so the masked subtraction stays bitwise-equal.
   spfac_.assign(static_cast<std::size_t>(grid.nz()) + 1, real(0));
   const real ztop = grid.ztop();
@@ -84,29 +84,12 @@ void Dynamics::fill_derived_halos() {
   fill(div_);
 }
 
-void Dynamics::compute_tendencies(const State& in, Tendencies& tend,
-                                  real dt_full) {
-  if (params_.kernel_path == KernelPath::kReference)
-    compute_tendencies_ref(in, tend, dt_full);
-  else
-    compute_tendencies_opt(in, tend, dt_full);
-}
-
-void Dynamics::vertical_implicit(const State& s0, const State& in,
-                                 const Tendencies& tend, real dts,
-                                 State& out) {
-  if (params_.kernel_path == KernelPath::kReference)
-    vertical_implicit_ref(s0, in, tend, dts, out);
-  else
-    vertical_implicit_opt(s0, in, tend, dts, out);
-}
-
 // Derived fields, with the dens tendency (horizontal mass-flux divergence)
 // fused in: it reads exactly the momx/momy columns the divergence already
 // touches, and both writes are independent, so the fusion is bitwise-safe.
 // The pressure pass stays a separate k-loop so powf does not break the
 // vectorization of the cheap expressions around it.
-void Dynamics::compute_derived_opt(const State& in, Tendencies& tend) {
+void Dynamics::compute_derived(const State& in, Tendencies& tend) {
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real rdx = real(1) / grid_.dx();
 #pragma omp parallel for collapse(2)
@@ -144,9 +127,9 @@ void Dynamics::compute_derived_opt(const State& in, Tendencies& tend) {
   fill_derived_halos();
 }
 
-void Dynamics::compute_tendencies_opt(const State& in, Tendencies& tend,
-                                      real dt_full) {
-  compute_derived_opt(in, tend);
+void Dynamics::compute_tendencies(const State& in, Tendencies& tend,
+                                  real dt_full) {
+  compute_derived(in, tend);
 
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real dx = grid_.dx();
@@ -184,8 +167,8 @@ void Dynamics::compute_tendencies_opt(const State& in, Tendencies& tend,
                                (fys_(i, j, k) - fys_(i, j - 1, k))) *
                              rdx;
 
-  // ---- tracers: q = rhoq/dens hoisted to a plane (the seed path divides
-  // ---- at every stencil tap — ~24 divisions per cell), then flux-once. ----
+  // ---- tracers: q = rhoq/dens hoisted to a plane (dividing at every
+  // ---- stencil tap costs ~24 divisions per cell), then flux-once. ----
   for (int t = 0; t < kNumTracers; ++t) {
     const RField3D& rq = in.rhoq[t];
 #pragma omp parallel for collapse(2)
@@ -462,8 +445,8 @@ void Dynamics::compute_tendencies_opt(const State& in, Tendencies& tend,
   if (nu4 > real(0)) hyperdiffusion(in, tend, nu4);
 }
 
-// Shared by both paths: the stencil is elementwise per (i,j,k) and the simd
-// annotation does not reorder any per-point arithmetic.
+// The stencil is elementwise per (i,j,k) and the simd annotation does not
+// reorder any per-point arithmetic (the oracle keeps a copy without it).
 void Dynamics::hyperdiffusion(const State& in, Tendencies& tend, real nu4) {
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real rdx = real(1) / grid_.dx();
@@ -502,10 +485,11 @@ void Dynamics::hyperdiffusion(const State& in, Tendencies& tend, real nu4) {
 // SoA-batched vertical implicit solve: columns are processed in lanes of
 // kImplicitLanes interleaved like BatchedSymEigen::solve_batch, so every
 // level of the Thomas recurrence (division-heavy) runs lane-parallel.  Per
-// lane the expression sequence is identical to vertical_implicit_ref.
-void Dynamics::vertical_implicit_opt(const State& s0, const State& in,
-                                     const Tendencies& tend, real dts,
-                                     State& out) {
+// lane the expression sequence is identical to the oracle's per-column
+// solve.
+void Dynamics::vertical_implicit(const State& s0, const State& in,
+                                 const Tendencies& tend, real dts,
+                                 State& out) {
   const idx nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
   const real g = C::grav;
 

@@ -15,7 +15,6 @@
 #include <array>
 
 #include "scale/grid.hpp"
-#include "scale/kernel_path.hpp"
 #include "scale/reference.hpp"
 #include "scale/state.hpp"
 
@@ -34,9 +33,6 @@ struct DynParams {
   real sponge_tau = 120.0f;    ///< sponge relaxation time scale [s]
   real f_coriolis = 0.0f;      ///< f-plane parameter [1/s] (0 = off)
   LateralBc lateral_bc = LateralBc::kPeriodic;
-  /// Hot-loop implementation; kReference is the seed per-point path kept as
-  /// the bitwise contract for bench_scale_kernels (docs/SCALE_KERNELS.md).
-  KernelPath kernel_path = KernelPath::kOptimized;
 };
 
 /// Explicit tendencies of all prognostic variables for one RK stage.
@@ -70,19 +66,7 @@ class Dynamics {
  private:
   void fill_halos(State& s) const;
   void fill_derived_halos();
-  void compute_derived(const State& in);
-
-  // Seed per-point kernels (dynamics_ref.cpp), kept verbatim as the bitwise
-  // reference for the restructured path; see docs/SCALE_KERNELS.md.
-  void compute_tendencies_ref(const State& in, Tendencies& tend, real dt_full);
-  void vertical_implicit_ref(const State& s0, const State& in,
-                             const Tendencies& tend, real dts, State& out);
-
-  // SoA / flux-once / SIMD restructured kernels (dynamics.cpp).
-  void compute_derived_opt(const State& in, Tendencies& tend);
-  void compute_tendencies_opt(const State& in, Tendencies& tend, real dt_full);
-  void vertical_implicit_opt(const State& s0, const State& in,
-                             const Tendencies& tend, real dts, State& out);
+  void compute_derived(const State& in, Tendencies& tend);
   void hyperdiffusion(const State& in, Tendencies& tend, real nu4);
 
   const Grid& grid_;
@@ -100,9 +84,8 @@ class Dynamics {
   RField3D div_;    ///< 3-D divergence of momentum at centers
   RField3D lap_;    ///< scratch Laplacian for the 4th-order filter
 
-  // Flux-once plane buffers for the optimized path: every advective face
-  // flux is computed once into a buffer and differenced, instead of twice
-  // per cell through the fx/fy lambdas of the seed path.
+  // Flux-once plane buffers: every advective face flux is computed once
+  // into a buffer and differenced, instead of twice per cell.
   RField3D fxs_;    ///< x-direction flux plane (nz levels)
   RField3D fys_;    ///< y-direction flux plane (nz levels)
   RField3D fxw_;    ///< x-direction flux plane at z-faces (nz+1 levels)

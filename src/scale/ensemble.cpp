@@ -80,25 +80,12 @@ void Ensemble::advance_members(real duration, std::size_t m0,
   // commit_advance moves the shared clock once all blocks are done.
   double t = time_;
   long sc = step_count_;
+  const State* rim = bdy_driver_ ? bdy_scratch : nullptr;
   for (long n = 0; n < nsteps; ++n) {
-    const bool full_physics = (sc % cfg_.physics_every) == 0;
-    const real pdt = cfg_.dt * real(cfg_.physics_every);
-    if (bdy_driver_ && bdy_scratch) bdy_driver_->fill(t, *bdy_scratch);
-    for (std::size_t m = m0; m < m1; ++m) {
-      State& s = members_[m];
-      dyn.step(s, cfg_.dt);
-      if (cfg_.enable_micro) micro_[m]->step(s, cfg_.dt);
-      if (full_physics) {
-        if (cfg_.enable_turb) turb.step(s, pdt);
-        if (cfg_.enable_pbl) pbl_[m]->step(s, pdt);
-        if (cfg_.enable_sfc)
-          sfc.step(s, pdt, cfg_.enable_pbl ? pbl_[m].get() : nullptr,
-                   real(std::fmod(t, 86400.0)));
-        if (cfg_.enable_rad) rad.step(s, pdt);
-      }
-      if (bdy_driver_ && bdy_scratch)
-        apply_davies(s, *bdy_scratch, bdy_width_, cfg_.dt, bdy_tau_);
-    }
+    if (rim) bdy_driver_->fill(t, *bdy_scratch);
+    for (std::size_t m = m0; m < m1; ++m)
+      step_model(cfg_, {dyn, *micro_[m], turb, *pbl_[m], sfc, rad},
+                 members_[m], sc, t, rim, bdy_width_, bdy_tau_);
     t += double(cfg_.dt);
     ++sc;
   }

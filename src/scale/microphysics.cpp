@@ -4,15 +4,16 @@
 // zero, which is the common case everywhere outside an active storm cell.
 // Every skip below substitutes the IEEE-754 result the call would have
 // produced for a zero operand (pow(+-0, y>0 non-odd) = +0, sqrt(-0) = -0,
-// etc.), so the optimized path stays bitwise identical to
-// microphysics_ref.cpp — checked by bench_scale_kernels before timing and by
-// test_kernel_parity (docs/SCALE_KERNELS.md).  The skips assume dens > 0
+// etc.), so these kernels stay bitwise identical to the seed kernels kept as
+// the test oracle (tests/support/scale_oracle) — checked by
+// bench_scale_kernels before timing and by test_kernel_parity
+// (docs/SCALE_KERNELS.md).  The skips assume dens > 0
 // (State::has_nonfinite territory otherwise).
 //
 // Sedimentation additionally hoists the grid-constant dzmin out of the
 // column loop, walks columns through Field3D::column_ptr, and keeps the
 // column scratch on the heap (the seed's real[256] arrays overflowed for
-// nz > 256; fixed in both paths).
+// nz > 256; the oracle carries the same fix).
 #include "scale/microphysics.hpp"
 
 #include <algorithm>
@@ -52,20 +53,6 @@ void Microphysics::step(State& s, real dt) {
 }
 
 void Microphysics::phase_changes(State& s, real dt) {
-  if (params_.kernel_path == KernelPath::kReference)
-    phase_changes_ref(s, dt);
-  else
-    phase_changes_opt(s, dt);
-}
-
-void Microphysics::sedimentation(State& s, real dt) {
-  if (params_.kernel_path == KernelPath::kReference)
-    sedimentation_ref(s, dt);
-  else
-    sedimentation_opt(s, dt);
-}
-
-void Microphysics::phase_changes_opt(State& s, real dt) {
   const idx nx = s.nx, ny = s.ny, nz = s.nz;
   const MicroParams& P = params_;
 
@@ -267,7 +254,7 @@ void Microphysics::phase_changes_opt(State& s, real dt) {
       }
 }
 
-void Microphysics::sedimentation_opt(State& s, real dt) {
+void Microphysics::sedimentation(State& s, real dt) {
   const idx nx = s.nx, ny = s.ny, nz = s.nz;
   const MicroParams& P = params_;
   const real rho0 = real(1.28);

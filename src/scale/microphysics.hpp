@@ -17,7 +17,6 @@
 #pragma once
 
 #include "scale/grid.hpp"
-#include "scale/kernel_path.hpp"
 #include "scale/state.hpp"
 #include "util/field.hpp"
 
@@ -40,9 +39,6 @@ struct MicroParams {
   real vt_graupel_coef = 10.0f;      ///< Vg = c (rho qg)^0.125
   real vt_ice = 0.3f;                ///< [m/s]
   real vt_max = 12.0f;               ///< cap on any terminal velocity [m/s]
-  /// Hot-loop implementation; kReference is the seed per-point path kept as
-  /// the bitwise contract for bench_scale_kernels (docs/SCALE_KERNELS.md).
-  KernelPath kernel_path = KernelPath::kOptimized;
 };
 
 class Microphysics {
@@ -68,15 +64,6 @@ class Microphysics {
  private:
   void phase_changes(State& s, real dt);
   void sedimentation(State& s, real dt);
-
-  // Seed per-point kernels (microphysics_ref.cpp), the bitwise reference.
-  void phase_changes_ref(State& s, real dt);
-  void sedimentation_ref(State& s, real dt);
-
-  // Restructured kernels with bitwise-safe zero-operand transcendental
-  // skips (microphysics.cpp).
-  void phase_changes_opt(State& s, real dt);
-  void sedimentation_opt(State& s, real dt);
 
   const Grid& grid_;
   MicroParams params_;

@@ -21,23 +21,30 @@ void Model::set_boundary(const BoundaryDriver* driver, idx width, real tau) {
   if (driver && !bdy_state_) bdy_state_ = std::make_unique<State>(grid_);
 }
 
+void step_model(const ModelConfig& cfg, const StepEngines& eng, State& s,
+                long step_count, double time, const State* rim,
+                idx rim_width, real rim_tau) {
+  eng.dyn.step(s, cfg.dt);
+  if (cfg.enable_micro) eng.micro.step(s, cfg.dt);
+  if (step_count % cfg.physics_every == 0) {
+    const real pdt = cfg.dt * real(cfg.physics_every);
+    if (cfg.enable_turb) eng.turb.step(s, pdt);
+    if (cfg.enable_pbl) eng.pbl.step(s, pdt);
+    if (cfg.enable_sfc)
+      eng.sfc.step(s, pdt, cfg.enable_pbl ? &eng.pbl : nullptr,
+                   real(std::fmod(time, 86400.0)));
+    if (cfg.enable_rad) eng.rad.step(s, pdt);
+  }
+  if (rim) apply_davies(s, *rim, rim_width, cfg.dt, rim_tau);
+}
+
 void Model::step() {
-  dyn_.step(state_, cfg_.dt);
-  if (cfg_.enable_micro) micro_.step(state_, cfg_.dt);
-  const bool full_physics = (step_count_ % cfg_.physics_every) == 0;
-  if (full_physics) {
-    const real pdt = cfg_.dt * real(cfg_.physics_every);
-    if (cfg_.enable_turb) turb_.step(state_, pdt);
-    if (cfg_.enable_pbl) pbl_.step(state_, pdt);
-    if (cfg_.enable_sfc)
-      sfc_.step(state_, pdt, cfg_.enable_pbl ? &pbl_ : nullptr,
-                real(std::fmod(time_, 86400.0)));
-    if (cfg_.enable_rad) rad_.step(state_, pdt);
-  }
-  if (bdy_driver_) {
-    bdy_driver_->fill(time_, *bdy_state_);
-    apply_davies(state_, *bdy_state_, bdy_width_, cfg_.dt, bdy_tau_);
-  }
+  // The rim target does not depend on the model state, so it is filled
+  // before the step (as Ensemble fills it once for all members).
+  if (bdy_driver_) bdy_driver_->fill(time_, *bdy_state_);
+  step_model(cfg_, {dyn_, micro_, turb_, pbl_, sfc_, rad_}, state_,
+             step_count_, time_, bdy_driver_ ? bdy_state_.get() : nullptr,
+             bdy_width_, bdy_tau_);
   time_ += double(cfg_.dt);
   ++step_count_;
 }

@@ -36,6 +36,27 @@ struct ModelConfig {
   int physics_every = 5;
 };
 
+/// The engines one model step drives.  Model owns a full set; Ensemble
+/// shares the scratch-only ones between members and keeps microphysics and
+/// boundary layer (trajectory state) per member.
+struct StepEngines {
+  Dynamics& dyn;
+  Microphysics& micro;
+  Turbulence& turb;
+  BoundaryLayer& pbl;
+  Surface& sfc;
+  Radiation& rad;
+};
+
+/// One model step of `s`, the sequence Model and Ensemble share: dynamics
+/// and microphysics over cfg.dt; every cfg.physics_every steps turbulence,
+/// boundary layer, surface and radiation over physics_every * dt; then the
+/// Davies rim toward `rim` when one is given.  `step_count` and `time` are
+/// the clock at the start of the step.
+void step_model(const ModelConfig& cfg, const StepEngines& eng, State& s,
+                long step_count, double time, const State* rim,
+                idx rim_width, real rim_tau);
+
 class Model {
  public:
   Model(const Grid& grid, const Sounding& sounding, ModelConfig cfg = {});

@@ -3,8 +3,9 @@
 // density division at every stencil tap), per-level constants (Cs*Delta)^2
 // and vertical spacings are precomputed, and the Jacobi copy reuses member
 // scratch instead of allocating per field per step.  Per point the
-// arithmetic is identical to turbulence_ref.cpp — bitwise-checked by
-// bench_scale_kernels and test_kernel_parity (docs/SCALE_KERNELS.md).
+// arithmetic is identical to the seed kernels kept as the test oracle
+// (tests/support/scale_oracle) — bitwise-checked by bench_scale_kernels and
+// test_kernel_parity (docs/SCALE_KERNELS.md).
 #include "scale/turbulence.hpp"
 
 #include <algorithm>
@@ -53,20 +54,6 @@ void Turbulence::fill_km_halo() {
 }
 
 void Turbulence::compute_viscosity(const State& s) {
-  if (params_.kernel_path == KernelPath::kReference)
-    compute_viscosity_ref(s);
-  else
-    compute_viscosity_opt(s);
-}
-
-void Turbulence::step(State& s, real dt) {
-  if (params_.kernel_path == KernelPath::kReference)
-    step_ref(s, dt);
-  else
-    step_opt(s, dt);
-}
-
-void Turbulence::compute_viscosity_opt(const State& s) {
   const idx nx = s.nx, ny = s.ny, nz = s.nz;
   const real rdx = real(1) / grid_.dx();
   // Center velocities over the interior plus a one-cell rim (the stencil
@@ -110,14 +97,14 @@ void Turbulence::compute_viscosity_opt(const State& s) {
   fill_km_halo();
 }
 
-void Turbulence::step_opt(State& s, real dt) {
-  compute_viscosity_opt(s);
+void Turbulence::step(State& s, real dt) {
+  compute_viscosity(s);
   const idx nx = s.nx, ny = s.ny, nz = s.nz;
   const real rdx2 = real(1) / (grid_.dx() * grid_.dx());
   const real kh_fac = real(1) / params_.prandtl;
 
   // Down-gradient diffusion of phi = f / dens (Jacobi update on the member
-  // scratch copy); same arithmetic as the seed lambda in step_ref.
+  // scratch copy); same arithmetic as the seed kernel's lambda.
   auto diffuse = [&](RField3D& f, real fac) {
 #pragma omp parallel for collapse(2)
     for (idx i = -Grid::kHalo; i < nx + Grid::kHalo; ++i)

@@ -11,7 +11,6 @@
 
 #include "scale/dynamics.hpp"
 #include "scale/grid.hpp"
-#include "scale/kernel_path.hpp"
 #include "scale/state.hpp"
 #include "util/field.hpp"
 
@@ -21,9 +20,6 @@ struct TurbParams {
   real cs = 0.18f;          ///< Smagorinsky constant
   real prandtl = 0.7f;      ///< turbulent Prandtl number (K_h = K_m / Pr)
   real k_max = 400.0f;      ///< viscosity cap [m2/s] for robustness
-  /// Hot-loop implementation; kReference is the seed per-point path kept as
-  /// the bitwise contract for bench_scale_kernels (docs/SCALE_KERNELS.md).
-  KernelPath kernel_path = KernelPath::kOptimized;
 };
 
 class Turbulence {
@@ -46,16 +42,6 @@ class Turbulence {
 
  private:
   void compute_viscosity(const State& s);
-
-  // Seed per-point kernels (turbulence_ref.cpp), the bitwise reference.
-  void compute_viscosity_ref(const State& s);
-  void step_ref(State& s, real dt);
-
-  // Restructured kernels: hoisted center velocities, per-level constants,
-  // member scratch instead of per-call allocations (turbulence.cpp).
-  void compute_viscosity_opt(const State& s);
-  void step_opt(State& s, real dt);
-
   void fill_state_halos(State& s) const;
   void fill_km_halo();
 
@@ -64,7 +50,7 @@ class Turbulence {
   LateralBc bc_;
   RField3D km_;
 
-  // Optimized-path scratch (allocation-free steady state).
+  // Scratch (allocation-free steady state).
   RField3D uc_, vc_, wc_;       ///< cell-center velocities incl. 1-cell rim
   RField3D phi_;                ///< Jacobi copy of the diffused quantity
   std::vector<real> csd2_;      ///< (Cs * Delta(k))^2 per level

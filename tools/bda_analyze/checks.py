@@ -23,10 +23,17 @@ from report import Finding, Report, Suppressions
 # The trees source discovery walks.
 SOURCE_TREES = ("src/", "tests/", "bench/", "examples/")
 
+# The seed SCALE kernels kept as the bitwise oracle for src/scale
+# (docs/SCALE_KERNELS.md): their float arithmetic and OpenMP loops are the
+# contract the production kernels are held to, so the src/scale checks
+# cover them too.
+SCALE_ORACLE_DIR = "tests/support/scale_oracle"
+
 # Where the bitwise-determinism contract applies (docs/PIPELINE.md): the
 # analysis/ensemble state path.  Checks outside these trees would flag
 # legitimately order-free code (benches, examples).
-DETERMINISM_DIRS = ("src/letkf", "src/scale", "src/workflow")
+DETERMINISM_DIRS = ("src/letkf", "src/scale", "src/workflow",
+                    SCALE_ORACLE_DIR)
 
 # The cycle path for unchecked-status: a dropped status here loses a cycle
 # (or silently corrupts one) rather than a test expectation.
@@ -35,7 +42,8 @@ CYCLE_PATH_DIRS = ("src/workflow", "src/jitdt", "src/letkf", "src/scale",
 
 # Where bda::real (float) arithmetic is the contract: the model kernels, the
 # LETKF solve, and the per-gate radar forward operator.
-HOT_PATH_DIRS = ("src/scale", "src/letkf", "src/pawr/forward")
+HOT_PATH_DIRS = ("src/scale", "src/letkf", "src/pawr/forward",
+                 SCALE_ORACLE_DIR)
 
 # The one file allowed to spell reinterpret_cast (util/binary_io.hpp).
 PUNNING_ALLOWED = ("src/util/binary_io.cpp",)
