@@ -41,7 +41,10 @@ void BM_StandardSolver(benchmark::State& state) {
   std::vector<float> a(n * n), w(n);
   for (auto _ : state) {
     a = a0;
-    letkf::sym_eigen<float>(n, a.data(), w.data());  // allocs per call
+    if (!letkf::sym_eigen<float>(n, a.data(), w.data())) {  // allocs per call
+      state.SkipWithError("sym_eigen did not converge");
+      break;
+    }
     benchmark::DoNotOptimize(w.data());
   }
 }
@@ -54,7 +57,10 @@ void BM_BatchedSolver(benchmark::State& state) {
   letkf::BatchedSymEigen<float> solver(n);  // workspace reused
   for (auto _ : state) {
     a = a0;
-    solver.solve(a.data(), w.data());
+    if (!solver.solve(a.data(), w.data())) {
+      state.SkipWithError("BatchedSymEigen did not converge");
+      break;
+    }
     benchmark::DoNotOptimize(w.data());
   }
 }
@@ -72,11 +78,15 @@ int main(int argc, char** argv) {
   std::vector<float> w(n);
   letkf::BatchedSymEigen<float> solver(n);
   const auto t0 = std::chrono::steady_clock::now();
-  solver.solve(a.data(), w.data());
+  const bool ok = solver.solve(a.data(), w.data());
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const double total = dt * 256.0 * 256.0 * 60.0;
+  if (!ok) {
+    std::printf("\nk = 1000 decomposition did not converge\n");
+    return 1;
+  }
   std::printf("\nk = 1000 decomposition (paper size): %.2f s on one core.\n",
               dt);
   std::printf("256x256x60 grid points x that = %.1f core-years per cycle — "

@@ -41,8 +41,11 @@ void BM_LetkfWeights(benchmark::State& state) {
   for (auto& v : d) v = T(rng.normal());
   bda::letkf::LetkfWorkspace<T> ws(k);
   for (auto _ : state) {
-    bda::letkf::letkf_weights<T>(k, p, Y.data(), d.data(), rinv.data(),
-                                 T(0.95), T(1), ws, W.data());
+    if (!bda::letkf::letkf_weights<T>(k, p, Y.data(), d.data(), rinv.data(),
+                                      T(0.95), T(1), ws, W.data())) {
+      state.SkipWithError("letkf_weights: eigensolver did not converge");
+      break;
+    }
     benchmark::DoNotOptimize(W.data());
   }
   state.SetItemsProcessed(state.iterations());
@@ -64,7 +67,10 @@ void BM_SymEigen(benchmark::State& state) {
   std::vector<T> a(n * n), w(n);
   for (auto _ : state) {
     a = a0;
-    bda::letkf::sym_eigen<T>(n, a.data(), w.data());
+    if (!bda::letkf::sym_eigen<T>(n, a.data(), w.data())) {
+      state.SkipWithError("sym_eigen did not converge");
+      break;
+    }
     benchmark::DoNotOptimize(w.data());
   }
 }

@@ -10,10 +10,14 @@
 // mature convective storm at the Table 3 column geometry.
 //
 // Acceptance gate: end-to-end ensemble advance speedup >= 2.00x over the
-// oracle kernels.  Below the gate the bench exits nonzero so CI fails.
+// oracle kernels, the median of 5 timed passes per side.  Both sides split
+// the members over the OpenMP team the same way, so the ratio compares
+// kernels, not parallel layouts.  Below the gate the bench exits nonzero so
+// CI fails.
 //
 // Output: human-readable table + BENCH_scale_kernels.json (path overridable
 // as argv[1]) with scale.* timers and speedups, CI-archived.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -22,6 +26,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <omp.h>
 
 #include "scale/boundary_layer.hpp"
 #include "scale/dynamics.hpp"
@@ -32,6 +38,7 @@
 #include "scale_oracle.hpp"
 #include "util/fpenv.hpp"
 #include "util/metrics.hpp"
+#include "util/stats.hpp"
 
 using namespace bda;
 using namespace bda::scale;
@@ -41,6 +48,7 @@ namespace {
 constexpr int kMembers = 4;       // end-to-end ensemble size
 constexpr real kAdvanceS = 12.0f; // end-to-end advance, seconds of model time
 constexpr int kKernelReps = 20;   // per-kernel timing repetitions
+constexpr int kEnsemblePasses = 5; // timed end-to-end passes per side
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -166,14 +174,24 @@ double run_ensemble(bool oracle_kernels, std::vector<State>* snapshot) {
           grid, convective_sounding(), config()));
       ref.back()->state() = ens.member(m);
     }
-  // The oracle members step interleaved, in scale::Ensemble::advance order.
+  // The oracle members step in scale::Ensemble::advance's layout: one
+  // contiguous member block per thread of the team, each block interleaved
+  // step by step, the kernels' column loops on one-thread teams.
   const long nsteps = std::lround(kAdvanceS / config().dt);
+  const int team = std::min(omp_get_max_threads(), kMembers);
   const double t0 = now_s();
-  if (oracle_kernels)
-    for (long n = 0; n < nsteps; ++n)
-      for (auto& model : ref) model->step();
-  else
+  if (oracle_kernels) {
+#pragma omp parallel num_threads(team)
+    {
+      omp_set_num_threads(1);
+      const MemberBlock b =
+          member_block(kMembers, omp_get_num_threads(), omp_get_thread_num());
+      for (long n = 0; n < nsteps; ++n)
+        for (int m = b.m0; m < b.m1; ++m) ref[std::size_t(m)]->step();
+    }
+  } else {
     ens.advance(kAdvanceS);
+  }
   const double dt = now_s() - t0;
   if (snapshot) {
     snapshot->clear();
@@ -264,8 +282,8 @@ int main(int argc, char** argv) {
               "physics\n",
               kMembers, double(kAdvanceS));
   std::vector<State> end_ref, end_opt;
-  const double e2e_warm_ref = run_ensemble(true, &end_ref);
-  const double e2e_warm_opt = run_ensemble(false, &end_opt);
+  run_ensemble(true, &end_ref);
+  run_ensemble(false, &end_opt);
   for (int m = 0; m < kMembers; ++m) {
     const std::string name = "ensemble member " + std::to_string(m);
     if (!report_bitwise(name.c_str(),
@@ -273,11 +291,15 @@ int main(int argc, char** argv) {
                                        end_opt[std::size_t(m)])))
       return 1;
   }
-  // Timed pass (the first pass doubles as warmup).
-  const double e2e_ref = run_ensemble(true, nullptr);
-  const double e2e_opt = run_ensemble(false, nullptr);
-  const double ref_s = 0.5 * (e2e_warm_ref + e2e_ref);
-  const double opt_s = 0.5 * (e2e_warm_opt + e2e_opt);
+  // Timed passes, the sides alternating (the checked pass above was the
+  // warmup); the median of each side resists a descheduled pass.
+  std::vector<double> ref_pass, opt_pass;
+  for (int p = 0; p < kEnsemblePasses; ++p) {
+    ref_pass.push_back(run_ensemble(true, nullptr));
+    opt_pass.push_back(run_ensemble(false, nullptr));
+  }
+  const double ref_s = percentile(ref_pass, 50);
+  const double opt_s = percentile(opt_pass, 50);
   const double speedup = ref_s / opt_s;
   metrics.observe("scale.ensemble.ref_s", ref_s);
   metrics.observe("scale.ensemble.opt_s", opt_s);

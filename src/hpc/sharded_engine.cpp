@@ -48,20 +48,16 @@ ShardedEngine::ShardedEngine(scale::Ensemble& ens, const letkf::Letkf& letkf,
   // same from inside a rank thread, much later).
   TileLayout probe(0, cfg_.px, cfg_.py, grid_.nx(), grid_.ny());
   (void)probe;
-  engines_.resize(static_cast<std::size_t>(ranks()));
   scratch_.resize(static_cast<std::size_t>(ranks()));
 }
 
-ShardedEngine::MemberBlock ShardedEngine::block_of(int rank) const {
-  const int k = ens_.size(), r = ranks();
-  const int base = k / r, rem = k % r;
-  const int m0 = rank * base + std::min(rank, rem);
-  return {m0, m0 + base + (rank < rem ? 1 : 0)};
+scale::MemberBlock ShardedEngine::block_of(int rank) const {
+  return scale::member_block(ens_.size(), ranks(), rank);
 }
 
 int ShardedEngine::owner_of(int member) const {
   for (int r = 0; r < ranks(); ++r) {
-    const MemberBlock b = block_of(r);
+    const scale::MemberBlock b = block_of(r);
     if (member >= b.m0 && member < b.m1) return r;
   }
   throw std::logic_error("ShardedEngine: member outside every block");
@@ -70,13 +66,15 @@ int ShardedEngine::owner_of(int member) const {
 void ShardedEngine::advance_ensemble(real duration) {
   const std::size_t n_ranks = static_cast<std::size_t>(ranks());
   std::vector<double> cpu(n_ranks, 0.0);
+  // Only ranks below min(ranks, members) own members; each borrows the
+  // ensemble's pool set of its rank number.
+  ens_.reserve_engine_sets(std::min(ranks(), ens_.size()));
   world_.run([&](Comm& comm) {
     const int r = comm.rank();
-    auto& slot = engines_[static_cast<std::size_t>(r)];
-    if (!slot) slot = ens_.make_shard_engines();
-    const MemberBlock b = block_of(r);
+    const scale::MemberBlock b = block_of(r);
     const double c0 = util::thread_cpu_seconds();
-    if (b.m1 > b.m0) ens_.advance_block(duration, b.m0, b.m1, *slot);
+    if (b.m1 > b.m0)
+      ens_.advance_block(duration, b.m0, b.m1, ens_.engine_set(r));
     cpu[static_cast<std::size_t>(r)] = util::thread_cpu_seconds() - c0;
   });
   // Exactly one clock commit, on the staged-API calling thread.
@@ -115,7 +113,7 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
     const int r = comm.rank();
     const std::size_t rs = static_cast<std::size_t>(r);
     const TileLayout layout(r, cfg_.px, cfg_.py, grid_.nx(), grid_.ny());
-    const MemberBlock blk = block_of(r);
+    const scale::MemberBlock blk = block_of(r);
     std::size_t bytes = 0;
     double cpu = 0;
 
@@ -139,7 +137,7 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
     std::vector<real> hx(n_all * k);
     for (int src = 0; src < n_ranks; ++src) {
       const Buffer b = comm.recv(src, kTagHx);
-      const MemberBlock sb = block_of(src);
+      const scale::MemberBlock sb = block_of(src);
       std::size_t pos = 0;
       std::vector<real> hm(n_all);
       for (int m = sb.m0; m < sb.m1; ++m) {

@@ -16,9 +16,11 @@
 //
 // Determinism contract (docs/SHARDING.md): a sharded cycle is bitwise
 // identical to the serial cycle at every rank layout.
-//  - Advance: engine structs are scratch-only, so per-rank replicas step a
-//    member exactly as the shared serial engines do; the clock is committed
-//    once after all blocks finish.
+//  - Advance: rank r steps its member block on the ensemble's pool
+//    EngineSet r, the same block loop scale::Ensemble::advance runs on its
+//    OpenMP team; engine sets are scratch-only, so the bits do not depend
+//    on the block split.  The clock is committed once after all blocks
+//    finish.
 //  - H(x) and prepare(): every rank assembles the identical H(x) byte table
 //    (blocks concatenated in rank order) and replicates the QC/statistics
 //    pass, so all ranks agree on the kept-obs set and on early returns.
@@ -81,10 +83,7 @@ class ShardedEngine {
 
  private:
   /// Contiguous member block of one rank: [m0, m1), empty if k < ranks.
-  struct MemberBlock {
-    int m0 = 0, m1 = 0;
-  };
-  MemberBlock block_of(int rank) const;
+  scale::MemberBlock block_of(int rank) const;
   int owner_of(int member) const;
 
   /// Rank-local analysis scratch, built lazily on first analyze(): a tile
@@ -100,8 +99,7 @@ class ShardedEngine {
   const scale::Grid& grid_;
   ShardConfig cfg_;
   CommWorld world_;
-  std::vector<std::unique_ptr<scale::ShardEngines>> engines_;  ///< per rank
-  std::vector<RankScratch> scratch_;                           ///< per rank
+  std::vector<RankScratch> scratch_;  ///< per rank
   util::Metrics* metrics_ = nullptr;
 };
 

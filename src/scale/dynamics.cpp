@@ -41,7 +41,7 @@ Dynamics::Dynamics(const Grid& grid, const ReferenceState& ref,
       fxw_(grid.nx(), grid.ny(), grid.nz() + 1, Grid::kHalo),
       fyw_(grid.nx(), grid.ny(), grid.nz() + 1, Grid::kHalo),
       qs_(grid.nx(), grid.ny(), grid.nz(), Grid::kHalo),
-      stage_in_(grid), stage_out_(grid), tend_(grid) {
+      stage_(grid), tend_(grid) {
   // Reference pressure consistent with our EOS: A_c must be exactly zero
   // for the resting reference state regardless of how the sounding was
   // integrated.
@@ -623,19 +623,18 @@ void Dynamics::vertical_implicit(const State& s0, const State& in,
 
 void Dynamics::step(State& s, real dt) {
   const int ns = params_.rk_stages;
+  // Stage 1 reads s; every later stage updates the one scratch in place
+  // (vertical_implicit's out may alias its in).
   State* in = &s;
   for (int stage = 0; stage < ns; ++stage) {
     const real dts = dt / real(ns - stage);  // dt/3, dt/2, dt for RK3
     // Halos of the stage input must be current before stencils run.
     fill_halos(*in);
     compute_tendencies(*in, tend_, dt);
-    vertical_implicit(s, *in, tend_, dts, stage_out_);
-    if (stage + 1 < ns) {
-      std::swap(stage_in_, stage_out_);
-      in = &stage_in_;
-    }
+    vertical_implicit(s, *in, tend_, dts, stage_);
+    in = &stage_;
   }
-  if (ns > 0) std::swap(s, stage_out_);
+  if (ns > 0) std::swap(s, stage_);
   fill_halos(s);
 }
 

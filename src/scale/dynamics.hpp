@@ -59,7 +59,10 @@ class Dynamics {
 
   /// Exposed for unit tests: given base state s0, stage input `in`, and its
   /// explicit tendencies, perform the backward-Euler vertical solve and
-  /// write the stage result to `out` (dts = stage step).
+  /// write the stage result to `out` (dts = stage step).  `out` may alias
+  /// `in` (step() updates its one RK scratch in place): only in.rhot is
+  /// read, and each column's in.rhot is read before that column is
+  /// written.  Writes interior columns only.
   void vertical_implicit(const State& s0, const State& in,
                          const Tendencies& tend, real dts, State& out);
 
@@ -92,8 +95,8 @@ class Dynamics {
   RField3D fyw_;    ///< y-direction flux plane at z-faces (nz+1 levels)
   RField3D qs_;     ///< tracer mixing ratio q = rhoq/dens incl. halo
 
-  // RK scratch states.
-  State stage_in_, stage_out_;
+  // RK scratch: every stage after the first updates it in place.
+  State stage_;
   Tendencies tend_;
 };
 

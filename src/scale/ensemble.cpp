@@ -1,6 +1,9 @@
 #include "scale/ensemble.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include <omp.h>
 
 namespace bda::scale {
 
@@ -30,10 +33,7 @@ RField2D smooth_noise(idx nx, idx ny, idx coarsen, Rng& rng) {
 
 Ensemble::Ensemble(const Grid& grid, const Sounding& sounding,
                    ModelConfig cfg, int n_members)
-    : grid_(grid), ref_(ReferenceState::build(grid_, sounding)), cfg_(cfg),
-      dyn_(grid_, ref_, cfg.dyn),
-      turb_(grid_, cfg.turb, cfg.dyn.lateral_bc),
-      sfc_(grid_, cfg.sfc), rad_(grid_, cfg.rad) {
+    : grid_(grid), ref_(ReferenceState::build(grid_, sounding)), cfg_(cfg) {
   members_.reserve(static_cast<std::size_t>(n_members));
   for (int m = 0; m < n_members; ++m) {
     members_.emplace_back(grid_);
@@ -70,21 +70,35 @@ void Ensemble::perturb(const PerturbationSpec& spec, Rng& rng) {
   }
 }
 
-void Ensemble::advance_members(real duration, std::size_t m0,
-                               std::size_t m1, Dynamics& dyn,
-                               Turbulence& turb, Surface& sfc, Radiation& rad,
-                               State* bdy_scratch) {
+MemberBlock member_block(int members, int parts, int part) {
+  const int base = members / parts, rem = members % parts;
+  const int m0 = part * base + std::min(part, rem);
+  return {m0, m0 + base + (part < rem ? 1 : 0)};
+}
+
+void Ensemble::reserve_engine_sets(int n) {
+  while (static_cast<int>(pool_.size()) < n)
+    pool_.push_back(std::make_unique<EngineSet>(grid_, ref_, cfg_));
+  if (bdy_driver_)
+    for (auto& eng : pool_)
+      if (!eng->bdy_state) eng->bdy_state = std::make_unique<State>(grid_);
+}
+
+void Ensemble::advance_block(real duration, int m0, int m1,
+                             EngineSet& eng) {
   const long nsteps =
       static_cast<long>(std::floor(duration / cfg_.dt + 0.5f));
   // Local clock copies: every member block replays the same step sequence;
   // commit_advance moves the shared clock once all blocks are done.
   double t = time_;
   long sc = step_count_;
-  const State* rim = bdy_driver_ ? bdy_scratch : nullptr;
+  const State* rim = bdy_driver_ ? eng.bdy_state.get() : nullptr;
   for (long n = 0; n < nsteps; ++n) {
-    if (rim) bdy_driver_->fill(t, *bdy_scratch);
-    for (std::size_t m = m0; m < m1; ++m)
-      step_model(cfg_, {dyn, *micro_[m], turb, *pbl_[m], sfc, rad},
+    if (rim) bdy_driver_->fill(t, *eng.bdy_state);
+    for (std::size_t m = static_cast<std::size_t>(m0);
+         m < static_cast<std::size_t>(m1); ++m)
+      step_model(cfg_, {eng.dyn, *micro_[m], eng.turb, *pbl_[m], eng.sfc,
+                        eng.rad},
                  members_[m], sc, t, rim, bdy_width_, bdy_tau_);
     t += double(cfg_.dt);
     ++sc;
@@ -92,23 +106,25 @@ void Ensemble::advance_members(real duration, std::size_t m0,
 }
 
 void Ensemble::advance(real duration) {
-  if (bdy_driver_ && !bdy_state_) bdy_state_ = std::make_unique<State>(grid_);
-  advance_members(duration, 0, members_.size(), dyn_, turb_, sfc_, rad_,
-                  bdy_state_.get());
+  const int k = size();
+  const int team =
+      omp_in_parallel() ? 1 : std::clamp(omp_get_max_threads(), 1,
+                                         std::max(k, 1));
+  reserve_engine_sets(team);
+  if (team == 1) {
+    advance_block(duration, 0, k, engine_set(0));
+  } else {
+#pragma omp parallel num_threads(team)
+    {
+      // Members are the parallel unit here: the kernels' own column loops
+      // get one-thread teams whatever max-active-levels allows.
+      omp_set_num_threads(1);
+      const int t = omp_get_thread_num();
+      const MemberBlock b = member_block(k, omp_get_num_threads(), t);
+      advance_block(duration, b.m0, b.m1, engine_set(t));
+    }
+  }
   commit_advance(duration);
-}
-
-std::unique_ptr<ShardEngines> Ensemble::make_shard_engines() const {
-  auto eng = std::make_unique<ShardEngines>(grid_, ref_, cfg_);
-  if (bdy_driver_) eng->bdy_state = std::make_unique<State>(grid_);
-  return eng;
-}
-
-void Ensemble::advance_block(real duration, int m0, int m1,
-                             ShardEngines& eng) {
-  advance_members(duration, static_cast<std::size_t>(m0),
-                  static_cast<std::size_t>(m1), eng.dyn, eng.turb, eng.sfc,
-                  eng.rad, eng.bdy_state.get());
 }
 
 void Ensemble::commit_advance(real duration) {

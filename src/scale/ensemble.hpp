@@ -2,10 +2,13 @@
 //
 // The paper runs 1000 members for the 30-second cycle forecasts (<1-2>) and
 // 11 members (mean + 10 random analyses) for the 30-minute product forecast
-// (<2>).  Members here share one dynamics/turbulence engine (their scratch
-// buffers dominate memory and are trajectory-independent); per-member
-// trajectory state — the prognostic State, boundary-layer TKE and
-// accumulated precipitation — is kept per member.
+// (<2>).  Members are the outer unit of parallelism: advance() splits them
+// into contiguous blocks, one per thread of the caller's OpenMP team, and
+// each block steps with its own EngineSet from a pool the ensemble owns
+// (the sharded ranks of hpc::ShardedEngine borrow from the same pool).
+// Per-member trajectory state — the prognostic State, boundary-layer TKE
+// and accumulated precipitation — is kept per member; the engine sets hold
+// scratch only, so which set steps a member never changes its bits.
 #pragma once
 
 #include <cstddef>
@@ -36,13 +39,13 @@ struct PerturbationSpec {
   real zmax = 6000.0f;     ///< perturb below this height only
 };
 
-/// One rank's private engine set for the sharded (member-block) advance.
-/// The shared Ensemble engines are scratch-only (no trajectory state), so a
-/// freshly constructed replica steps a member to bitwise-identical state —
-/// that is what lets ranks advance disjoint member blocks concurrently.
-struct ShardEngines {
-  ShardEngines(const Grid& grid, const ReferenceState& ref,
-               const ModelConfig& cfg)
+/// The scratch-only engines one member block steps with.  Dynamics,
+/// turbulence, surface and radiation carry no trajectory state, so any set
+/// steps a member to bitwise-identical state; that is what lets member
+/// blocks advance concurrently, each on its own set.
+struct EngineSet {
+  EngineSet(const Grid& grid, const ReferenceState& ref,
+            const ModelConfig& cfg)
       : dyn(grid, ref, cfg.dyn), turb(grid, cfg.turb, cfg.dyn.lateral_bc),
         sfc(grid, cfg.sfc), rad(grid, cfg.rad) {}
 
@@ -50,11 +53,19 @@ struct ShardEngines {
   Turbulence turb;
   Surface sfc;
   Radiation rad;
-  /// Per-rank boundary scratch (allocated by make_shard_engines iff a
-  /// boundary driver is attached; BoundaryDriver::fill is a deterministic
-  /// function of time, so every rank's copy holds identical bytes).
+  /// Davies rim target (allocated iff a boundary driver is attached;
+  /// BoundaryDriver::fill is a deterministic function of time, so every
+  /// set's copy holds identical bytes).
   std::unique_ptr<State> bdy_state;
 };
+
+/// Contiguous member block [m0, m1) of `part` when `members` are split
+/// near-evenly into `parts` (the first members % parts blocks one larger;
+/// empty when part >= members).  advance() and hpc::ShardedEngine share it.
+struct MemberBlock {
+  int m0 = 0, m1 = 0;
+};
+MemberBlock member_block(int members, int parts, int part);
 
 class Ensemble {
  public:
@@ -76,26 +87,32 @@ class Ensemble {
   /// Apply independent smooth perturbations to every member.
   void perturb(const PerturbationSpec& spec, Rng& rng);
 
-  /// Integrate all members forward by `duration` seconds.
+  /// Integrate all members forward by `duration` seconds.  Members step in
+  /// contiguous blocks on a team of min(omp_get_max_threads(), size())
+  /// threads (1 inside an active parallel region), each block on its own
+  /// pool EngineSet, and the kernels' column loops run on one-thread
+  /// teams.  A one-thread team (e.g. a single member) leaves the column
+  /// loops parallel instead.  Bitwise-identical at every team size.
   void advance(real duration);
 
-  /// Sharded advance, used by hpc::ShardedEngine.  Each rank builds its own
-  /// engine replica once, then per cycle advances a disjoint member block
-  /// [m0, m1) — safe concurrently because blocks touch disjoint member and
-  /// microphysics/PBL state and `eng` is rank-private.  advance_block does
-  /// NOT move the ensemble clock; after all blocks finish, exactly one
-  /// caller commits the time/step-count advance:
+  /// Block advance, the building block of advance() and of
+  /// hpc::ShardedEngine's ranks.  advance_block steps members [m0, m1) with
+  /// `eng` and does NOT move the ensemble clock; concurrent calls are safe
+  /// on disjoint blocks with distinct sets.  After all blocks finish,
+  /// exactly one caller commits the clock:
   ///
-  ///   auto eng = ens.make_shard_engines();      // once per rank
-  ///   ens.advance_block(dt_total, m0, m1, *eng);  // every rank
-  ///   ens.commit_advance(dt_total);             // once, after a barrier
-  ///
-  /// advance(d) == { advance_block(d, 0, size()); commit_advance(d); } with
-  /// the shared engines, so serial and sharded trajectories are bitwise
-  /// identical.
-  std::unique_ptr<ShardEngines> make_shard_engines() const;
-  void advance_block(real duration, int m0, int m1, ShardEngines& eng);
+  ///   ens.reserve_engine_sets(n);                      // calling thread
+  ///   ens.advance_block(d, m0, m1, ens.engine_set(i));  // block i < n
+  ///   ens.commit_advance(d);                           // once, after join
+  void advance_block(real duration, int m0, int m1, EngineSet& eng);
   void commit_advance(real duration);
+
+  /// Grow the engine pool to at least `n` sets (and give every set a rim
+  /// scratch if a boundary driver is attached).  Not thread-safe: call it
+  /// on the thread that owns the ensemble, before the blocks start.
+  void reserve_engine_sets(int n);
+  /// Pool set `i` (< the reserved count); sets are never freed or moved.
+  EngineSet& engine_set(int i) { return *pool_[static_cast<std::size_t>(i)]; }
 
   /// Ensemble mean state (all prognostic fields).
   State mean() const;
@@ -110,22 +127,13 @@ class Ensemble {
   }
 
  private:
-  /// Shared inner loop of advance() and advance_block(): steps members
-  /// [m0, m1) with the given engines against local copies of the clock.
-  void advance_members(real duration, std::size_t m0, std::size_t m1,
-                       Dynamics& dyn, Turbulence& turb, Surface& sfc,
-                       Radiation& rad, State* bdy_scratch);
-
   Grid grid_;
   ReferenceState ref_;
   ModelConfig cfg_;
   double time_ = 0.0;
   long step_count_ = 0;
 
-  Dynamics dyn_;       // shared engine (scratch only, no trajectory state)
-  Turbulence turb_;    // shared (km_ is recomputed every call)
-  Surface sfc_;
-  Radiation rad_;
+  std::vector<std::unique_ptr<EngineSet>> pool_;  ///< one set per block
   std::vector<State> members_;
   std::vector<std::unique_ptr<Microphysics>> micro_;
   std::vector<std::unique_ptr<BoundaryLayer>> pbl_;
@@ -133,7 +141,6 @@ class Ensemble {
   const BoundaryDriver* bdy_driver_ = nullptr;
   idx bdy_width_ = 5;
   real bdy_tau_ = 10.0f;
-  std::unique_ptr<State> bdy_state_;
 };
 
 /// Smooth random field on [0, nx) x [0, ny): white noise on a coarsened

@@ -40,7 +40,7 @@ void step_model(const ModelConfig& cfg, const StepEngines& eng, State& s,
 
 void Model::step() {
   // The rim target does not depend on the model state, so it is filled
-  // before the step (as Ensemble fills it once for all members).
+  // before the step (as Ensemble fills it once per member block).
   if (bdy_driver_) bdy_driver_->fill(time_, *bdy_state_);
   step_model(cfg_, {dyn_, micro_, turb_, pbl_, sfc_, rad_}, state_,
              step_count_, time_, bdy_driver_ ? bdy_state_.get() : nullptr,

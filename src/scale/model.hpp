@@ -1,6 +1,6 @@
 // Single-trajectory model: dynamics plus the full physics suite behind one
 // `step()` call.  This is the deterministic building block; ensembles use
-// scale::Ensemble, which shares the dynamics scratch between members.
+// scale::Ensemble, whose member blocks share pooled engine scratch.
 #pragma once
 
 #include <memory>
@@ -37,8 +37,9 @@ struct ModelConfig {
 };
 
 /// The engines one model step drives.  Model owns a full set; Ensemble
-/// shares the scratch-only ones between members and keeps microphysics and
-/// boundary layer (trajectory state) per member.
+/// steps each member block with the scratch-only ones of one pool
+/// EngineSet and keeps microphysics and boundary layer (trajectory state)
+/// per member.
 struct StepEngines {
   Dynamics& dyn;
   Microphysics& micro;

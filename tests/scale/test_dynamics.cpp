@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "scale/dynamics.hpp"
 #include "scale/model.hpp"
@@ -182,6 +183,63 @@ TEST(Dynamics, VerticalImplicitMatchesTendencyContract) {
   for (idx k = 0; k < s.nz; ++k) {
     EXPECT_FLOAT_EQ(out.dens(8, 8, k), s.dens(8, 8, k));
     EXPECT_FLOAT_EQ(out.rhot(8, 8, k), s.rhot(8, 8, k));
+  }
+}
+
+bool fields_bitwise_equal(const RField3D& a, const RField3D& b) {
+  const auto ar = a.raw();
+  const auto br = b.raw();
+  return ar.size() == br.size() &&
+         std::memcmp(ar.data(), br.data(), ar.size() * sizeof(real)) == 0;
+}
+
+// Dynamics::step updates its one RK scratch in place from the second stage
+// on, so vertical_implicit(s0, x, tend, dts, x) must write exactly what it
+// writes to a distinct `out` (the alias contract in dynamics.hpp).
+TEST(Dynamics, VerticalImplicitInPlaceBitwise) {
+  for (LateralBc bc : {LateralBc::kPeriodic, LateralBc::kClamp}) {
+    SCOPED_TRACE(bc == LateralBc::kPeriodic ? "periodic" : "clamp");
+    Grid g = test_grid();
+    const auto ref = ReferenceState::build(g, convective_sounding());
+    DynParams p = dyn_only();
+    p.lateral_bc = bc;
+    Dynamics dyn(g, ref, p);
+    auto fill = [bc](State& s) {
+      if (bc == LateralBc::kPeriodic)
+        s.fill_halos_periodic();
+      else
+        s.fill_halos_clamp();
+    };
+    State s0(g);
+    s0.init_from_reference(g, ref);
+    add_thermal_bubble(s0, g, 3000, 4000, 1500, 1500, 800, 2.0f);
+    add_moisture_anomaly(s0, g, 5000, 3000, 1000, 2000, 800, 0.1f);
+    for (idx i = 0; i < s0.nx; ++i)
+      for (idx j = 0; j < s0.ny; ++j)
+        for (idx k = 0; k < s0.nz; ++k)
+          s0.momx(i, j, k) = s0.dens(i, j, k) * real(2 + (i + 2 * j) % 3);
+    fill(s0);
+    // A stage input distinct from the base state, as in RK stages 2 and 3.
+    State x = s0;
+    for (int n = 0; n < 3; ++n) dyn.step(x, 0.4f);
+    fill(x);
+    Tendencies tend(g);
+    dyn.compute_tendencies(x, tend, 0.4f);  // also fills derived fields
+
+    State out = x;  // same halos as the in-place result
+    dyn.vertical_implicit(s0, x, tend, 0.2f, out);
+    State y = x;
+    dyn.vertical_implicit(s0, y, tend, 0.2f, y);
+
+    EXPECT_FALSE(fields_bitwise_equal(out.rhot, x.rhot));  // it did update
+    EXPECT_TRUE(fields_bitwise_equal(out.dens, y.dens));
+    EXPECT_TRUE(fields_bitwise_equal(out.momx, y.momx));
+    EXPECT_TRUE(fields_bitwise_equal(out.momy, y.momy));
+    EXPECT_TRUE(fields_bitwise_equal(out.momz, y.momz));
+    EXPECT_TRUE(fields_bitwise_equal(out.rhot, y.rhot));
+    for (int t = 0; t < kNumTracers; ++t)
+      EXPECT_TRUE(fields_bitwise_equal(out.rhoq[t], y.rhoq[t]))
+          << tracer_name(t);
   }
 }
 

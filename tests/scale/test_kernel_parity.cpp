@@ -20,7 +20,9 @@
 #include <omp.h>
 #endif
 
+#include "scale/boundary.hpp"
 #include "scale/boundary_layer.hpp"
+#include "scale/ensemble.hpp"
 #include "scale/microphysics.hpp"
 #include "scale/model.hpp"
 #include "scale/turbulence.hpp"
@@ -91,6 +93,17 @@ void seed_hydrometeors(State& s) {
   s.rhoq[QR](1, 0, 1) = -0.0f;
   s.rhoq[QI](1, 0, 5) = -0.0f;
   s.fill_halos_periodic();
+}
+
+// Sheared, horizontally varying winds (halos included): they lift the PBL
+// TKE off its floor, so the boundary layer's shear terms matter.
+void add_shear(State& s) {
+  for (idx i = -Grid::kHalo; i < s.nx + Grid::kHalo; ++i)
+    for (idx j = -Grid::kHalo; j < s.ny + Grid::kHalo; ++j)
+      for (idx k = 0; k < s.nz; ++k) {
+        s.momx(i, j, k) = s.dens(i, j, k) * real(3 * k + (i * 7 + j * 3) % 5);
+        s.momy(i, j, k) = s.dens(i, j, k) * real(4 * (k % 3));
+      }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,14 +404,7 @@ TEST(ModelStep, BitwiseUnderOversubscription) {
     Model m(g, snd, cfg);
     add_thermal_bubble(m.state(), g, 2000, 2000, 1200, 1500, 700, 2.0f);
     seed_hydrometeors(m.state());
-    State& s = m.state();
-    for (idx i = -Grid::kHalo; i < s.nx + Grid::kHalo; ++i)
-      for (idx j = -Grid::kHalo; j < s.ny + Grid::kHalo; ++j)
-        for (idx k = 0; k < s.nz; ++k) {
-          s.momx(i, j, k) =
-              s.dens(i, j, k) * real(3 * k + (i * 7 + j * 3) % 5);
-          s.momy(i, j, k) = s.dens(i, j, k) * real(4 * (k % 3));
-        }
+    add_shear(m.state());
     for (int n = 0; n < 60; ++n) m.step();
     return m.state();
   };
@@ -409,6 +415,84 @@ TEST(ModelStep, BitwiseUnderOversubscription) {
   for (auto& t : threads) t.join();
   omp_set_num_threads(save);
   for (const State& copy : copies) expect_state_bitwise(solo, copy);
+}
+
+// Ensemble::advance steps contiguous member blocks concurrently, one pool
+// EngineSet per thread of the team.  The result must not depend on the
+// split.  The run has micro, PBL and surface on, a time-dependent Davies
+// rim (its target refreshes every second, so each block's clock copy
+// matters) and two advances (the pool is reused and the clock committed).
+struct EnsembleRun {
+  std::vector<State> members;
+  double time = 0;
+};
+
+EnsembleRun advance_ensemble(int members, int team, LateralBc bc) {
+  omp_set_num_threads(team);
+  const Grid g = Grid::stretched(8, 8, 12, 500.0f, 8000.0f, 80.0f, 1.15f);
+  ModelConfig cfg;
+  cfg.physics_every = 2;
+  cfg.dyn.lateral_bc = bc;
+  Ensemble ens(g, convective_sounding(), cfg, members);
+  const SyntheticMesoscaleDriver rim(ens.grid(), ens.reference(), 4.0f,
+                                     -2.0f, 1.0);
+  ens.set_boundary(&rim, 2, 20.0f);
+  Rng rng(17);
+  ens.perturb({}, rng);
+  for (int m = 0; m < members; ++m) {
+    add_thermal_bubble(ens.member(m), g, 2000, 2000, 1200, 1500, 700, 2.0f);
+    seed_hydrometeors(ens.member(m));
+    add_shear(ens.member(m));
+  }
+  ens.advance(2.4f);
+  ens.advance(2.4f);
+  EnsembleRun run;
+  for (int m = 0; m < members; ++m) run.members.push_back(ens.member(m));
+  run.time = ens.time();
+  return run;
+}
+
+void expect_runs_bitwise(const EnsembleRun& a, const EnsembleRun& b) {
+  ASSERT_EQ(a.members.size(), b.members.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time),
+            std::bit_cast<std::uint64_t>(b.time));
+  for (std::size_t m = 0; m < a.members.size(); ++m) {
+    SCOPED_TRACE(testing::Message() << "member " << m);
+    expect_state_bitwise(a.members[m], b.members[m]);
+  }
+}
+
+TEST(EnsembleAdvance, BitwiseAcrossTeamsAndBlocks) {
+  const int save = omp_get_max_threads();
+  const int nproc = omp_get_num_procs();
+  for (LateralBc bc : {LateralBc::kPeriodic, LateralBc::kClamp})
+    for (int members : {1, 3, 8}) {
+      const EnsembleRun one = advance_ensemble(members, 1, bc);
+      for (int team : {2, 3, nproc}) {
+        SCOPED_TRACE(testing::Message()
+                     << members << " members, team " << team << ", "
+                     << (bc == LateralBc::kPeriodic ? "periodic" : "clamp"));
+        expect_runs_bitwise(one, advance_ensemble(members, team, bc));
+      }
+    }
+  omp_set_num_threads(save);
+}
+
+// Three ensembles advancing at once, each on an nproc-wide team (at most
+// 3 x nproc threads), must each equal a solo run: preempted blocks must not
+// share engine scratch or the rim target.
+TEST(EnsembleAdvance, BitwiseUnderOversubscription) {
+  const int save = omp_get_max_threads();
+  const int nproc = omp_get_num_procs();
+  const EnsembleRun solo = advance_ensemble(8, nproc, LateralBc::kClamp);
+  std::vector<EnsembleRun> copies(3);
+  std::vector<std::thread> threads;
+  for (EnsembleRun& copy : copies)
+    threads.emplace_back(
+        [&] { copy = advance_ensemble(8, nproc, LateralBc::kClamp); });
+  for (auto& t : threads) t.join();
+  omp_set_num_threads(save);
+  for (const EnsembleRun& copy : copies) expect_runs_bitwise(solo, copy);
 }
 #endif
 
