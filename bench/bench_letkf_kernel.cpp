@@ -5,14 +5,20 @@
 // eigensolves; KeDV (Kudo & Imamura 2019) batches them for cache locality,
 // and adjacent levels of a column frequently share the exact local-obs
 // signature, letting one weight matrix serve several levels.  This bench
-// measures both effects at the ISSUE's reference point — k = 64 members,
-// 60-level columns, ~96 local obs — on two workloads:
+// measures both effects at the reference point — k = 64 members,
+// 60-level columns, ~96 local obs — on three workloads:
 //   * "reuse":    adjacent level pairs share a bit-identical signature
 //                 (the single-elevation / quantized-vloc scenario), so the
 //                 cache hits 50% of levels;
-//   * "distinct": every level unique — the batching-only floor.
+//   * "distinct": every level unique — the batching-only floor;
+//   * "clear-air": every level unique and ~90% of rows with zero spread
+//                 (clear-air reflectivity, every member at the floor); the
+//                 batched path gathers only the rows with spread, as
+//                 Letkf::analyze_window does.  Reported, not gated.
 // Every batched weight matrix is checked bitwise against the per-level
-// letkf_weights reference before any timing is reported.
+// letkf_weights reference before any timing is reported, and the
+// clear-air Gram and projection over the kept rows against the seed
+// kernels over every row (tests/support/letkf_oracle).
 //
 // Output: human-readable table + BENCH_letkf_kernel.json (path overridable
 // as argv[1]) with timers and kernel counters, CI-archived next to
@@ -20,12 +26,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "letkf/column_solver.hpp"
 #include "letkf/letkf_core.hpp"
+#include "letkf_oracle.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -53,7 +61,8 @@ struct Column {
   std::vector<Level> levels;
 };
 
-Level make_level(Rng& rng, std::size_t id0) {
+/// `zero_share` of the rows (drawn at random) have zero spread.
+Level make_level(Rng& rng, std::size_t id0, double zero_share) {
   Level lv;
   lv.ids.resize(kLocalObs);
   lv.y.resize(kLocalObs * kMembers);
@@ -63,27 +72,74 @@ Level make_level(Rng& rng, std::size_t id0) {
     lv.ids[n] = id0 + n;
     lv.d[n] = float(rng.normal());
     lv.rinv[n] = 0.25f + float(std::abs(rng.normal()));
+    const bool flat = rng.uniform() < zero_share;
     for (std::size_t m = 0; m < kMembers; ++m)
-      lv.y[n * kMembers + m] = float(rng.normal());
+      lv.y[n * kMembers + m] = flat ? 0.0f : float(rng.normal());
   }
   return lv;
 }
 
-/// `share` pairs adjacent levels into one signature (50% exact reuse);
+enum class Workload { kReuse, kDistinct, kClearAir };
+
+/// kReuse pairs adjacent levels into one signature (50% exact reuse);
 /// otherwise all levels are distinct.
-std::vector<Column> make_workload(bool share, std::uint64_t seed) {
+std::vector<Column> make_workload(Workload w, std::uint64_t seed) {
   Rng rng(seed);
+  const double zero_share = w == Workload::kClearAir ? 0.9 : 0.0;
   std::vector<Column> cols(kColumns);
   for (auto& col : cols) {
     col.levels.reserve(kLevels);
     for (std::size_t l = 0; l < kLevels; ++l) {
-      if (share && (l % 2 == 1))
+      if (w == Workload::kReuse && (l % 2 == 1))
         col.levels.push_back(col.levels.back());
       else
-        col.levels.push_back(make_level(rng, l * kLocalObs));
+        col.levels.push_back(make_level(rng, l * kLocalObs, zero_share));
     }
   }
   return cols;
+}
+
+/// The rows of `lv` with spread, as Letkf::analyze_window gathers them.
+struct Rows {
+  std::vector<float> y, d, rinv;
+  void gather(const Level& lv) {
+    y.clear();
+    d.clear();
+    rinv.clear();
+    for (std::size_t n = 0; n < kLocalObs; ++n) {
+      const float* row = lv.y.data() + n * kMembers;
+      if (bda::letkf::zero_spread(row, kMembers)) continue;
+      y.insert(y.end(), row, row + kMembers);
+      d.push_back(lv.d[n]);
+      rinv.push_back(lv.rinv[n]);
+    }
+  }
+  std::size_t size() const { return d.size(); }
+};
+
+/// Seed Gram + projection over every row against production over the rows
+/// with spread, bitwise, for every level of the workload.
+std::size_t count_gram_mismatch(const std::vector<Column>& cols) {
+  std::vector<float> yr_o, yr, a_o(kMembers * kMembers),
+      a(kMembers * kMembers), cd_o(kMembers), cd(kMembers);
+  Rows rows;
+  std::size_t bad = 0;
+  for (const auto& col : cols)
+    for (const auto& lv : col.levels) {
+      bda::letkf::oracle::build_gram(kMembers, kLocalObs, lv.y.data(),
+                                     lv.rinv.data(), kRho, yr_o, a_o.data());
+      bda::letkf::oracle::innovation_projection(kMembers, kLocalObs, yr_o,
+                                                lv.d.data(), cd_o.data());
+      rows.gather(lv);
+      bda::letkf::letkf_build_gram(kMembers, rows.size(), rows.y.data(),
+                                   rows.rinv.data(), kRho, yr, a.data());
+      bda::letkf::letkf_innovation_projection(kMembers, rows.size(), yr,
+                                              rows.d.data(), cd.data());
+      if (std::memcmp(a.data(), a_o.data(), a.size() * sizeof(float)) != 0 ||
+          std::memcmp(cd.data(), cd_o.data(), cd.size() * sizeof(float)) != 0)
+        ++bad;
+    }
+  return bad;
 }
 
 double now_s() {
@@ -113,20 +169,31 @@ double run_baseline(const std::vector<Column>& cols, float* sink) {
 }
 
 /// Batched path: the column solver dedupes signatures and runs each
-/// column's unique solves through one solve_batch call.  Weights are
+/// column's unique solves through one solve_batch call.  With
+/// `skip_zero_rows`, a miss stages only the rows with spread.  Weights are
 /// consumed in place (as Letkf::analyze does); `sink` non-null copies each
 /// level's matrix out for the bitwise verification pass.
 double run_batched(const std::vector<Column>& cols, float* sink,
-                   ColumnWeightSolver<float>& solver) {
+                   ColumnWeightSolver<float>& solver, bool skip_zero_rows) {
   const double t0 = now_s();
   std::size_t out = 0;
   std::vector<std::size_t> slots(kLevels);
+  Rows rows;
   for (const auto& col : cols) {
     solver.begin_column();
     for (std::size_t l = 0; l < kLevels; ++l) {
       const auto& lv = col.levels[l];
-      slots[l] = solver.add_level(kLocalObs, lv.ids.data(), lv.rinv.data(),
-                                  lv.y.data(), lv.d.data());
+      if (!skip_zero_rows) {
+        slots[l] = solver.add_level(kLocalObs, lv.ids.data(), lv.rinv.data(),
+                                    lv.y.data(), lv.d.data());
+        continue;
+      }
+      slots[l] = solver.lookup(kLocalObs, lv.ids.data(), lv.rinv.data());
+      if (slots[l] != ColumnWeightSolver<float>::npos) continue;
+      rows.gather(lv);
+      slots[l] = solver.insert(kLocalObs, lv.ids.data(), lv.rinv.data(),
+                               rows.size(), rows.y.data(), rows.rinv.data(),
+                               rows.d.data());
     }
     solver.solve();
     for (std::size_t l = 0; l < kLevels; ++l) {
@@ -173,14 +240,32 @@ int main(int argc, char** argv) {
   };
   std::vector<WorkloadResult> results;
 
-  for (const bool share : {true, false}) {
-    const char* name = share ? "reuse" : "distinct";
-    const auto cols = make_workload(share, share ? 20210729u : 20210730u);
+  struct Case {
+    Workload w;
+    const char* name;
+    std::uint64_t seed;
+  };
+  for (const Case& wc : {Case{Workload::kReuse, "reuse", 20210729u},
+                         Case{Workload::kDistinct, "distinct", 20210730u},
+                         Case{Workload::kClearAir, "clear-air", 20210731u}}) {
+    const char* name = wc.name;
+    const bool skip = wc.w == Workload::kClearAir;
+    const auto cols = make_workload(wc.w, wc.seed);
     ColumnWeightSolver<float> solver(kMembers, kLevels, kAlpha, kRho);
 
-    // Warmup both paths (page in the workload), then correctness gate.
+    // Warmup both paths (page in the workload), then correctness gates.
+    if (skip) {
+      const std::size_t bad_gram = count_gram_mismatch(cols);
+      if (bad_gram != 0) {
+        std::printf("FAIL [%s]: %zu levels' Gram/projection over the rows "
+                    "with spread differ from the seed kernels over every "
+                    "row\n",
+                    name, bad_gram);
+        return 1;
+      }
+    }
     run_baseline(cols, w_base.data());
-    run_batched(cols, w_batch.data(), solver);
+    run_batched(cols, w_batch.data(), solver, skip);
     const std::size_t bad = count_mismatch(w_base, w_batch);
     if (bad != 0) {
       std::printf("FAIL [%s]: %zu weight elements differ from the serial "
@@ -192,7 +277,7 @@ int main(int argc, char** argv) {
     double base_s = 0, batch_s = 0;
     for (int r = 0; r < kReps; ++r) {
       const double tb = run_baseline(cols, nullptr);
-      const double tk = run_batched(cols, nullptr, solver);
+      const double tk = run_batched(cols, nullptr, solver, skip);
       base_s += tb;
       batch_s += tk;
       metrics.observe(std::string("letkf_kernel.baseline_s.") + name, tb);
@@ -223,7 +308,8 @@ int main(int argc, char** argv) {
     if (std::string(r.name) == "reuse" && speedup < 1.5) pass = false;
   }
   std::printf("\nbitwise check: batched weights == serial reference "
-              "(all %zu matrices)\n", 2 * kColumns * kLevels);
+              "(all %zu matrices); clear-air Gram/projection == seed "
+              "kernels\n", results.size() * kColumns * kLevels);
   std::printf("acceptance (reuse >= 1.50x): %s\n", pass ? "PASS" : "FAIL");
 
   std::ofstream json(json_path);

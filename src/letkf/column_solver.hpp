@@ -36,13 +36,24 @@ namespace bda::letkf {
 
 namespace detail {
 
-/// FNV-1a over raw bytes; chained across the id and rinv arrays.
-inline std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes,
-                                 std::uint64_t h) {
+/// FNV-1a-style hash over 8-byte words (a short tail is zero-padded into
+/// one last word); chained across the id and rinv arrays.  Each step
+/// h -> (h ^ w) * prime is a bijection of h, so two signatures that differ
+/// in one word never collide.  The hash only pre-filters: lookup() compares
+/// the signature bytes before it reports a hit.
+inline std::uint64_t hash_words(const void* data, std::size_t bytes,
+                                std::uint64_t h) {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h = (h ^ w) * 1099511628211ull;
+  }
+  if (i < bytes) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, bytes - i);
+    h = (h ^ w) * 1099511628211ull;
   }
   return h;
 }
@@ -77,10 +88,12 @@ class ColumnWeightSolver {
 
   /// Probe the cache for a level's signature.  On a hit, registers the
   /// level against the existing slot and returns it — the caller can then
-  /// skip gathering Y and d entirely.  Returns npos on a miss.
+  /// skip gathering Y and d entirely.  Returns npos on a miss, keeping the
+  /// signature's hash for the insert() that follows.
   std::size_t lookup(std::size_t p, const std::size_t* ids, const T* rinv) {
     assert(!solved_ && p > 0 && n_levels_ < max_levels_);
     const std::uint64_t h = signature_hash(p, ids, rinv);
+    pending_hash_ = h;
     for (std::size_t u = 0; u < n_unique_; ++u) {
       if (sig_hash_[u] != h || sig_ids_[u].size() != p) continue;
       if (std::memcmp(sig_ids_[u].data(), ids, p * sizeof(std::size_t)) != 0)
@@ -94,31 +107,37 @@ class ColumnWeightSolver {
     return npos;
   }
 
-  /// Register a level whose signature missed the cache: stores the
-  /// signature and stages the Gram matrix and projected innovations for
-  /// the batched solve.  Y is row-major p x k, d length p (as
-  /// letkf_weights).  Returns the new slot.
+  /// Register the level whose lookup() just missed (its signature: p ids
+  /// and p rinv, hashed by that lookup) and stage the Gram matrix and
+  /// projected innovations for the batched solve from `rows` rows: Y
+  /// row-major rows x k with their own rinv and innovations d (as
+  /// letkf_weights).  The rows are the signature's own, in its order,
+  /// minus any the caller left out for zero spread (letkf::zero_spread),
+  /// which cannot change a bit of the solve.  Returns the new slot.
   std::size_t insert(std::size_t p, const std::size_t* ids, const T* rinv,
-                     const T* Y, const T* d) {
-    assert(!solved_ && p > 0 && n_unique_ < max_levels_);
+                     std::size_t rows, const T* Y, const T* rinv_rows,
+                     const T* d) {
+    assert(!solved_ && p > 0 && rows <= p && n_unique_ < max_levels_);
+    assert(pending_hash_ == signature_hash(p, ids, rinv));
     const std::size_t u = n_unique_++;
     ++n_levels_;
     ++misses_;
-    sig_hash_[u] = signature_hash(p, ids, rinv);
+    sig_hash_[u] = pending_hash_;
     sig_ids_[u].assign(ids, ids + p);
     sig_rinv_[u].assign(rinv, rinv + p);
-    letkf_build_gram(k_, p, Y, rinv, rho_, ws_.yr, a_.data() + u * k_ * k_);
-    letkf_innovation_projection(k_, p, ws_.yr, d, cd_.data() + u * k_);
+    letkf_build_gram(k_, rows, Y, rinv_rows, rho_, ws_.yr,
+                     a_.data() + u * k_ * k_);
+    letkf_innovation_projection(k_, rows, ws_.yr, d, cd_.data() + u * k_);
     ok_[u] = 0;
     return u;
   }
 
-  /// Convenience wrapper: lookup, then insert on miss (Y/d are read only
-  /// on the miss path).
+  /// Convenience wrapper: lookup, then insert every row on a miss (Y/d are
+  /// read only on the miss path).
   std::size_t add_level(std::size_t p, const std::size_t* ids, const T* rinv,
                         const T* Y, const T* d) {
     const std::size_t u = lookup(p, ids, rinv);
-    return u != npos ? u : insert(p, ids, rinv, Y, d);
+    return u != npos ? u : insert(p, ids, rinv, p, Y, rinv, d);
   }
 
   /// Batched eigensolve of every unique slot (one solve_batch call) and
@@ -166,8 +185,8 @@ class ColumnWeightSolver {
   static std::uint64_t signature_hash(std::size_t p, const std::size_t* ids,
                                       const T* rinv) {
     std::uint64_t h = 1469598103934665603ull;
-    h = detail::fnv1a_bytes(ids, p * sizeof(std::size_t), h);
-    h = detail::fnv1a_bytes(rinv, p * sizeof(T), h);
+    h = detail::hash_words(ids, p * sizeof(std::size_t), h);
+    h = detail::hash_words(rinv, p * sizeof(T), h);
     return h;
   }
 
@@ -182,6 +201,7 @@ class ColumnWeightSolver {
   std::vector<std::vector<std::size_t>> sig_ids_;
   std::vector<std::vector<T>> sig_rinv_;
   std::vector<std::uint64_t> sig_hash_;
+  std::uint64_t pending_hash_ = 0;  ///< hash of the last lookup()
   std::size_t n_unique_ = 0, n_levels_ = 0;
   std::size_t hits_ = 0, misses_ = 0, batches_ = 0, fails_ = 0;
   bool solved_ = false;

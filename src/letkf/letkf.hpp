@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "letkf/adaptive_inflation.hpp"
@@ -74,6 +75,11 @@ struct PreparedObs {
   ObsVector obs;            ///< post-QC observations
   std::vector<real> ymean;  ///< mean H(x) per kept obs
   std::vector<real> yp;     ///< obs-space perturbations, yp[n*k + m]
+  /// 1 where yp's row is all ±0 with a finite innovation and error: the
+  /// local analysis leaves the row out of the Gram and projection, which
+  /// is exact (letkf::zero_spread), but keeps it in the ranking, the cap
+  /// and the weight-cache signature.
+  std::vector<std::uint8_t> zero_spread;
   AnalysisStats stats;      ///< n_obs_in / n_obs_qc / innovation / moments
 };
 

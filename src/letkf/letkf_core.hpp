@@ -24,6 +24,7 @@
 // composes the same stages serially and is the bitwise reference path.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <vector>
@@ -42,15 +43,32 @@ struct LetkfWorkspace {
   BatchedSymEigen<T> eig;
 };
 
+/// True when the observation-space perturbation row y[0..k) is all ±0, so
+/// the observation carries no ensemble spread (a clear-air reflectivity
+/// report with every member at the floor).  Such a row adds only ±0
+/// products to the Gram matrix and the innovation projection, and an
+/// accumulator that starts at +0 or (k-1)/rho never becomes -0, so leaving
+/// the row out changes no bit of A or cd provided its rinv and innovation
+/// are finite (Letkf::prepare checks both before marking a row).
+template <typename T>
+bool zero_spread(const T* y, std::size_t k) {
+  for (std::size_t m = 0; m < k; ++m)
+    if (y[m] != T(0)) return false;
+  return true;
+}
+
 /// Build the ensemble-space precision matrix
 ///   A = (k-1)/rho I + Y^T diag(rinv) Y
 /// (row-major k x k, into A) with the scaled perturbations
-/// Yr = diag(rinv) Y formed once in `yr` and the Gram product tiled over
-/// output columns, so each p x tile slab of Y stays cache-resident across
-/// the full i sweep instead of being re-streamed per entry.  Determinism:
-/// Yr[n,i] = Y[n,i] * rinv[n] rounds exactly like the naive triple product
-/// (left-associated), and each entry keeps a single accumulator over
-/// ascending n, so the blocked build equals the naive loop bitwise.
+/// Yr = diag(rinv) Y formed once in `yr`.  The observation loop is the
+/// outer one: each row n adds Yr[n,i] * Y[n,j] to every upper-triangle
+/// entry of a column tile, so the inner loop runs over contiguous j and the
+/// k x kColTile accumulator block stays cache-resident across all p rows
+/// (k = 64 is one tile; at the paper's k = 1000 a block is <= 256 KB).
+/// Determinism: Yr[n,i] = Y[n,i] * rinv[n] rounds exactly like the naive
+/// triple product (left-associated), and every entry starts from the same
+/// value and adds its products in ascending n, so the build equals the
+/// per-entry dot product bitwise (tests/support/letkf_oracle).
 /// `yr` is left holding diag(rinv) Y for reuse by
 /// letkf_innovation_projection.
 template <typename T>
@@ -59,30 +77,39 @@ void letkf_build_gram(std::size_t k, std::size_t p, const T* Y, const T* rinv,
   yr.resize(p * k);
   for (std::size_t n = 0; n < p; ++n)
     for (std::size_t i = 0; i < k; ++i) yr[n * k + i] = Y[n * k + i] * rinv[n];
-  constexpr std::size_t kColTile = 48;
+  constexpr std::size_t kColTile = 64;
+  const T diag = T(k - 1) / rho;
   for (std::size_t jb = 0; jb < k; jb += kColTile) {
     const std::size_t je = std::min(k, jb + kColTile);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = std::max(i, jb); j < je; ++j) {
-        T s = (i == j) ? T(k - 1) / rho : T(0);
-        for (std::size_t n = 0; n < p; ++n) s += yr[n * k + i] * Y[n * k + j];
-        A[i * k + j] = s;
-        A[j * k + i] = s;
+    for (std::size_t i = 0; i < je; ++i)
+      for (std::size_t j = std::max(i, jb); j < je; ++j)
+        A[i * k + j] = (i == j) ? diag : T(0);
+    for (std::size_t n = 0; n < p; ++n) {
+      const T* yrn = yr.data() + n * k;
+      const T* yn = Y + n * k;
+      for (std::size_t i = 0; i < je; ++i) {
+        const T a = yrn[i];
+        T* ai = A + i * k;
+        for (std::size_t j = std::max(i, jb); j < je; ++j) ai[j] += a * yn[j];
       }
     }
   }
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = i + 1; j < k; ++j) A[j * k + i] = A[i * k + j];
 }
 
 /// cd = Y^T diag(rinv) d, using the prebuilt yr = diag(rinv) Y from
 /// letkf_build_gram (bitwise-equal to forming Y^T rinv d directly, since
-/// the products associate identically).
+/// the products associate identically).  Observation loop outside, as in
+/// the Gram: each cd[i] starts at +0 and adds its products in ascending n.
 template <typename T>
 void letkf_innovation_projection(std::size_t k, std::size_t p,
                                  const std::vector<T>& yr, const T* d, T* cd) {
-  for (std::size_t i = 0; i < k; ++i) {
-    T s = T(0);
-    for (std::size_t n = 0; n < p; ++n) s += yr[n * k + i] * d[n];
-    cd[i] = s;
+  for (std::size_t i = 0; i < k; ++i) cd[i] = T(0);
+  for (std::size_t n = 0; n < p; ++n) {
+    const T* yrn = yr.data() + n * k;
+    const T dn = d[n];
+    for (std::size_t i = 0; i < k; ++i) cd[i] += yrn[i] * dn;
   }
 }
 

@@ -73,4 +73,20 @@ void ObsIndex::query(real x, real y, real radius,
       }
 }
 
+void ObsIndex::query_box(real x_lo, real x_hi, real y_lo, real y_hi,
+                         real radius, std::vector<std::size_t>& out) const {
+  if (!obs_ || obs_->empty()) return;
+  const long bi0 = static_cast<long>((x_lo - radius - x0_) / cell_);
+  const long bi1 = static_cast<long>((x_hi + radius - x0_) / cell_);
+  const long bj0 = static_cast<long>((y_lo - radius - y0_) / cell_);
+  const long bj1 = static_cast<long>((y_hi + radius - y0_) / cell_);
+  for (long bi = std::max<long>(bi0, 0); bi <= std::min<long>(bi1, nbx_ - 1);
+       ++bi)
+    for (long bj = std::max<long>(bj0, 0);
+         bj <= std::min<long>(bj1, nby_ - 1); ++bj) {
+      const auto& b = buckets_[static_cast<std::size_t>(bi * nby_ + bj)];
+      out.insert(out.end(), b.begin(), b.end());
+    }
+}
+
 }  // namespace bda::letkf

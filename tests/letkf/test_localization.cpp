@@ -85,6 +85,34 @@ TEST(ObsIndex, QueryMatchesBruteForce) {
   }
 }
 
+// analyze_window numbers its obs by query_box and looks every query()
+// result up in that numbering, so the box must cover each point's query.
+TEST(ObsIndex, QueryBoxCoversEveryQueryInsideTheBox) {
+  Rng rng(29);
+  const auto obs = random_obs(800, 20000.0f, rng);
+  ObsIndex index(obs, 4000.0f);
+  std::vector<std::size_t> box, got;
+  for (int trial = 0; trial < 20; ++trial) {
+    const real x0 = real(rng.uniform(-2000, 20000));
+    const real y0 = real(rng.uniform(-2000, 20000));
+    const real x1 = x0 + real(rng.uniform(0, 8000));
+    const real y1 = y0 + real(rng.uniform(0, 8000));
+    box.clear();
+    index.query_box(x0, x1, y0, y1, 4000.0f, box);
+    std::sort(box.begin(), box.end());
+    EXPECT_TRUE(std::adjacent_find(box.begin(), box.end()) == box.end());
+    for (int s = 0; s <= 8; ++s)
+      for (int t = 0; t <= 8; ++t) {
+        got.clear();
+        index.query(x0 + (x1 - x0) * real(s) / 8, y0 + (y1 - y0) * real(t) / 8,
+                    4000.0f, got);
+        for (std::size_t n : got)
+          EXPECT_TRUE(std::binary_search(box.begin(), box.end(), n))
+              << "trial " << trial << " obs " << n;
+      }
+  }
+}
+
 TEST(ObsIndex, EmptyObsYieldsNothing) {
   ObsVector obs;
   ObsIndex index(obs, 1000.0f);

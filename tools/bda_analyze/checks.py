@@ -29,11 +29,16 @@ SOURCE_TREES = ("src/", "tests/", "bench/", "examples/")
 # cover them too.
 SCALE_ORACLE_DIR = "tests/support/scale_oracle"
 
+# The seed LETKF selection, Gram and projection kept as the bitwise oracle
+# for src/letkf (docs/LETKF_KERNEL.md), held to the src/letkf checks for the
+# same reason.
+LETKF_ORACLE_DIR = "tests/support/letkf_oracle"
+
 # Where the bitwise-determinism contract applies (docs/PIPELINE.md): the
 # analysis/ensemble state path.  Checks outside these trees would flag
 # legitimately order-free code (benches, examples).
 DETERMINISM_DIRS = ("src/letkf", "src/scale", "src/workflow",
-                    SCALE_ORACLE_DIR)
+                    SCALE_ORACLE_DIR, LETKF_ORACLE_DIR)
 
 # The cycle path for unchecked-status: a dropped status here loses a cycle
 # (or silently corrupts one) rather than a test expectation.
@@ -43,7 +48,7 @@ CYCLE_PATH_DIRS = ("src/workflow", "src/jitdt", "src/letkf", "src/scale",
 # Where bda::real (float) arithmetic is the contract: the model kernels, the
 # LETKF solve, and the per-gate radar forward operator.
 HOT_PATH_DIRS = ("src/scale", "src/letkf", "src/pawr/forward",
-                 SCALE_ORACLE_DIR)
+                 SCALE_ORACLE_DIR, LETKF_ORACLE_DIR)
 
 # The one file allowed to spell reinterpret_cast (util/binary_io.hpp).
 PUNNING_ALLOWED = ("src/util/binary_io.cpp",)
