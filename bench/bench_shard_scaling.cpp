@@ -3,13 +3,15 @@
 // The paper's part <1> runs member-sharded <1-2> advances and
 // domain-sharded <1-1> LETKF connected by the in-memory member<->domain
 // redistribution ("MPI data transfer with RAM copy", the headline I/O
-// change).  This bench drives the same structure through hpc::ShardedEngine
-// and reports, per rank count:
+// change).  Each layout's cycles run on a caller team of px*py threads, so
+// the advance (scale::Ensemble::advance) steps as many member blocks as
+// there are analysis ranks (hpc::ShardedEngine), and each rank's analysis
+// gets one thread.  Reported per rank count:
 //   - the determinism check (every layout bitwise vs the serial cycle —
 //     scaling numbers from a wrong answer are worthless),
-//   - advance/analysis TTS as max-over-ranks thread CPU time (the
-//     node-exclusive projection; on an oversubscribed host wall clock only
-//     measures the scheduler),
+//   - advance TTS as max-over-blocks and analysis TTS as max-over-ranks
+//     thread CPU time (the node-exclusive projection; on an oversubscribed
+//     host wall clock only measures the scheduler),
 //   - shuffle traffic and mailbox high-water mark,
 //   - the BdaCostModel projection of the measured shard cycle onto the
 //     paper's 11,580-node partition (does the shuffle stay cheap at scale?).
@@ -22,6 +24,8 @@
 #include <span>
 #include <string>
 #include <vector>
+
+#include <omp.h>
 
 #include "common.hpp"
 #include "hpc/perf_model.hpp"
@@ -77,8 +81,10 @@ int main(int argc, char** argv) {
 
   std::vector<RunResult> results;
   for (const auto& [px, py] : kLayouts) {
+    omp_set_num_threads(omp_get_num_procs());  // spin-up on every core
     auto sys = bench::make_storm_system(cfg);
     sys->enable_sharding(px, py);
+    omp_set_num_threads(px * py);
     util::Metrics metrics;
     sys->set_metrics(&metrics);
     for (std::size_t c = 0; c < kCycles; ++c) sys->cycle();
@@ -88,7 +94,7 @@ int main(int argc, char** argv) {
     for (int m = 0; m < sys->ensemble().size(); ++m)
       r.bitwise = r.bitwise && states_equal(sys->ensemble().member(m),
                                             serial->ensemble().member(m));
-    const auto adv = metrics.timer_stats("shard.advance_max");
+    const auto adv = metrics.timer_stats("scale.advance_block_max");
     const auto ana = metrics.timer_stats("shard.analysis_max");
     r.advance_tts_s = adv.mean_s;
     r.analysis_tts_s = ana.mean_s;
@@ -102,8 +108,9 @@ int main(int argc, char** argv) {
   std::printf("  %zu cycles per layout, %d members, %dx%d grid\n", kCycles,
               cfg.n_members, int(bench::osse_grid().nx()),
               int(bench::osse_grid().ny()));
-  std::printf("  TTS = max-over-ranks thread CPU time per cycle "
-              "(node-exclusive projection)\n");
+  std::printf("  TTS = max-over-blocks (advance) and max-over-ranks "
+              "(analysis) thread CPU time per cycle\n"
+              "  (node-exclusive projection; px*py member blocks)\n");
   std::printf("  ranks  bitwise  advance-TTS  analysis-TTS  shuffle/cycle  "
               "peak-mailbox\n");
   bool all_bitwise = true;
@@ -114,8 +121,8 @@ int main(int argc, char** argv) {
                 r.shuffle_bytes_per_cycle, r.peak_mailbox);
     all_bitwise = all_bitwise && r.bitwise;
   }
-  // The member blocks shrink 1 -> 4 ranks (8, 4, 2 members per rank), so the
-  // per-rank advance cost must fall with them.
+  // The member blocks shrink 1 -> 4 ranks (8, 4, 2 members per block), so
+  // the per-block advance cost must fall with them.
   advance_scales = results[2].advance_tts_s < results[0].advance_tts_s;
   std::printf("  determinism: %s; advance TTS decreasing 1 -> 4 ranks: %s\n",
               all_bitwise ? "every layout bitwise-identical to serial"

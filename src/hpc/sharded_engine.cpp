@@ -4,6 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include <omp.h>
+
 #include "util/binary_io.hpp"
 
 namespace bda::hpc {
@@ -63,32 +65,6 @@ int ShardedEngine::owner_of(int member) const {
   throw std::logic_error("ShardedEngine: member outside every block");
 }
 
-void ShardedEngine::advance_ensemble(real duration) {
-  const std::size_t n_ranks = static_cast<std::size_t>(ranks());
-  std::vector<double> cpu(n_ranks, 0.0);
-  // Only ranks below min(ranks, members) own members; each borrows the
-  // ensemble's pool set of its rank number.
-  ens_.reserve_engine_sets(std::min(ranks(), ens_.size()));
-  world_.run([&](Comm& comm) {
-    const int r = comm.rank();
-    const scale::MemberBlock b = block_of(r);
-    const double c0 = util::thread_cpu_seconds();
-    if (b.m1 > b.m0)
-      ens_.advance_block(duration, b.m0, b.m1, ens_.engine_set(r));
-    cpu[static_cast<std::size_t>(r)] = util::thread_cpu_seconds() - c0;
-  });
-  // Exactly one clock commit, on the staged-API calling thread.
-  ens_.commit_advance(duration);
-  if (metrics_) {
-    double mx = 0;
-    for (double c : cpu) {
-      metrics_->observe("shard.advance", c);
-      mx = std::max(mx, c);
-    }
-    metrics_->observe("shard.advance_max", mx);
-  }
-}
-
 letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
   const std::size_t k = static_cast<std::size_t>(ens_.size());
   letkf::AnalysisStats stats;
@@ -108,8 +84,13 @@ letkf::AnalysisStats ShardedEngine::analyze(const letkf::ObsVector& obs_in) {
   std::vector<std::size_t> moved_bytes(nr, 0);
   letkf::AnalysisStats prep_stats;  // written by rank 0 only
   bool no_obs_kept = false;         // written by rank 0 only
+  // The ranks split the caller's thread budget: each rank's windowed LETKF
+  // runs on caller_team / ranks threads (at least one).
+  const int caller_team = omp_in_parallel() ? 1 : omp_get_max_threads();
+  const int rank_team = std::max(1, caller_team / n_ranks);
 
   world_.run([&](Comm& comm) {
+    omp_set_num_threads(rank_team);
     const int r = comm.rank();
     const std::size_t rs = static_cast<std::size_t>(r);
     const TileLayout layout(r, cfg_.px, cfg_.py, grid_.nx(), grid_.ny());

@@ -1,4 +1,4 @@
-// Sharded cycle engine: members and LETKF domain blocks as simulated ranks.
+// Sharded analysis engine: LETKF domain blocks as simulated ranks.
 //
 // The paper's part <1> runs the 30-second cycle over thousands of nodes in
 // two layouts at once: the <1-2> ensemble advance is *member-sharded* (each
@@ -7,20 +7,17 @@
 // the 500-m grid, needing every member's state there).  Between the two
 // steps the operational system redistributes the whole ensemble "with RAM
 // copy and node-to-node network communications" instead of files — the
-// paper's headline I/O change.  ShardedEngine reproduces that structure on
-// hpc::CommWorld threads-as-ranks: rank r advances member block r, then the
-// in-memory shuffle repartitions state member->domain, each rank analyzes
-// its TileLayout window, halos are refreshed by message-passing
-// exchange_halo, and the backward shuffle returns analyzed tiles (interior
-// plus exchanged halo) to the member owners.
+// paper's headline I/O change.  The advance is scale::Ensemble::advance at
+// every layout; ShardedEngine shards the analysis on hpc::CommWorld
+// threads-as-ranks: rank r owns member block r, the in-memory shuffle
+// repartitions state member->domain, each rank analyzes its TileLayout
+// window, halos are refreshed by message-passing exchange_halo, and the
+// backward shuffle returns analyzed tiles (interior plus exchanged halo) to
+// the member owners.  Each rank runs on max(1, caller_team / ranks) threads
+// of the caller's team (1 inside an active parallel region).
 //
 // Determinism contract (docs/SHARDING.md): a sharded cycle is bitwise
 // identical to the serial cycle at every rank layout.
-//  - Advance: rank r steps its member block on the ensemble's pool
-//    EngineSet r, the same block loop scale::Ensemble::advance runs on its
-//    OpenMP team; engine sets are scratch-only, so the bits do not depend
-//    on the block split.  The clock is committed once after all blocks
-//    finish.
 //  - H(x) and prepare(): every rank assembles the identical H(x) byte table
 //    (blocks concatenated in rank order) and replicates the QC/statistics
 //    pass, so all ranks agree on the kept-obs set and on early returns.
@@ -31,11 +28,11 @@
 //  - RNG: the engine draws no random numbers; all draws stay on the staged
 //    API's calling thread (workflow/cycle.hpp discipline).
 //
-// Metrics (docs/SHARDING.md schema): per-rank thread-CPU timers
-// "shard.advance" / "shard.analysis" and their per-cycle max-over-ranks
-// "shard.advance_max" / "shard.analysis_max" (the node-exclusive TTS
-// projection on an oversubscribed host), wall timer "shard.halo", and
-// counter "shard.shuffle_bytes" (member<->domain bytes crossing ranks).
+// Metrics (docs/SHARDING.md schema): per-rank thread-CPU timer
+// "shard.analysis" and its per-cycle max-over-ranks "shard.analysis_max"
+// (the node-exclusive TTS projection on an oversubscribed host), wall
+// timer "shard.halo", and counter "shard.shuffle_bytes" (member<->domain
+// bytes crossing ranks).
 #pragma once
 
 #include <memory>
@@ -69,10 +66,6 @@ class ShardedEngine {
   const ShardConfig& config() const { return cfg_; }
   void set_metrics(util::Metrics* metrics) { metrics_ = metrics; }
 
-  /// <1-2>: every rank advances its member block; the ensemble clock is
-  /// committed once afterwards.  Bitwise-equal to Ensemble::advance.
-  void advance_ensemble(real duration);
-
   /// <1-1> plus both shuffles: member->domain redistribution, windowed
   /// LETKF, halo exchange, domain->member return.  Bitwise-equal to
   /// Letkf::analyze on the same ensemble and observations.
@@ -82,7 +75,7 @@ class ShardedEngine {
   std::size_t peak_mailbox_depth() { return world_.peak_mailbox_depth(); }
 
  private:
-  /// Contiguous member block of one rank: [m0, m1), empty if k < ranks.
+  /// Member block a rank owns in the shuffle: [m0, m1), empty if k < ranks.
   scale::MemberBlock block_of(int rank) const;
   int owner_of(int member) const;
 

@@ -1,6 +1,7 @@
 #include "scale/ensemble.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include <omp.h>
@@ -76,20 +77,12 @@ MemberBlock member_block(int members, int parts, int part) {
   return {m0, m0 + base + (part < rem ? 1 : 0)};
 }
 
-void Ensemble::reserve_engine_sets(int n) {
-  while (static_cast<int>(pool_.size()) < n)
-    pool_.push_back(std::make_unique<EngineSet>(grid_, ref_, cfg_));
-  if (bdy_driver_)
-    for (auto& eng : pool_)
-      if (!eng->bdy_state) eng->bdy_state = std::make_unique<State>(grid_);
-}
-
 void Ensemble::advance_block(real duration, int m0, int m1,
                              EngineSet& eng) {
   const long nsteps =
       static_cast<long>(std::floor(duration / cfg_.dt + 0.5f));
   // Local clock copies: every member block replays the same step sequence;
-  // commit_advance moves the shared clock once all blocks are done.
+  // advance() moves the shared clock once all blocks are done.
   double t = time_;
   long sc = step_count_;
   const State* rim = bdy_driver_ ? eng.bdy_state.get() : nullptr;
@@ -110,30 +103,53 @@ void Ensemble::advance(real duration) {
   const int team =
       omp_in_parallel() ? 1 : std::clamp(omp_get_max_threads(), 1,
                                          std::max(k, 1));
-  reserve_engine_sets(team);
+  // The pool is this call's team: one set per block, each with a rim
+  // scratch when a boundary driver is attached.
+  pool_.resize(static_cast<std::size_t>(team));
+  for (auto& eng : pool_) {
+    if (!eng) eng = std::make_unique<EngineSet>(grid_, ref_, cfg_);
+    if (bdy_driver_ && !eng->bdy_state)
+      eng->bdy_state = std::make_unique<State>(grid_);
+  }
+  std::vector<double> cpu(static_cast<std::size_t>(team), 0.0);
   if (team == 1) {
-    advance_block(duration, 0, k, engine_set(0));
+    const double c0 = util::thread_cpu_seconds();
+    advance_block(duration, 0, k, *pool_[0]);
+    cpu[0] = util::thread_cpu_seconds() - c0;
   } else {
+    // Each block counts itself in after its last write: the atomic adds and
+    // the load after the join are the edge TSan can see (libgomp's barrier
+    // is invisible to it, docs/ANALYSIS.md), and the count is the number
+    // of blocks.
+    std::atomic<int> blocks{0};
 #pragma omp parallel num_threads(team)
     {
       // Members are the parallel unit here: the kernels' own column loops
       // get one-thread teams whatever max-active-levels allows.
       omp_set_num_threads(1);
       const int t = omp_get_thread_num();
+      const std::size_t ts = static_cast<std::size_t>(t);
       const MemberBlock b = member_block(k, omp_get_num_threads(), t);
-      advance_block(duration, b.m0, b.m1, engine_set(t));
+      const double c0 = util::thread_cpu_seconds();
+      advance_block(duration, b.m0, b.m1, *pool_[ts]);
+      cpu[ts] = util::thread_cpu_seconds() - c0;
+      blocks.fetch_add(1);
     }
+    cpu.resize(static_cast<std::size_t>(blocks.load()));
   }
-  commit_advance(duration);
-}
 
-void Ensemble::commit_advance(real duration) {
   const long nsteps =
       static_cast<long>(std::floor(duration / cfg_.dt + 0.5f));
   // Same accumulation as the per-step loop (repeated adds, not one fused
   // multiply-add) so the clock stays bitwise on the historical trajectory.
   for (long n = 0; n < nsteps; ++n) time_ += double(cfg_.dt);
   step_count_ += nsteps;
+
+  if (metrics_) {
+    for (double c : cpu) metrics_->observe("scale.advance_block", c);
+    metrics_->observe("scale.advance_block_max",
+                      *std::max_element(cpu.begin(), cpu.end()));
+  }
 }
 
 State Ensemble::mean() const {

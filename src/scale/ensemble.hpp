@@ -4,8 +4,8 @@
 // 11 members (mean + 10 random analyses) for the 30-minute product forecast
 // (<2>).  Members are the outer unit of parallelism: advance() splits them
 // into contiguous blocks, one per thread of the caller's OpenMP team, and
-// each block steps with its own EngineSet from a pool the ensemble owns
-// (the sharded ranks of hpc::ShardedEngine borrow from the same pool).
+// each block steps with its own EngineSet from a private pool of exactly
+// that team's sets.  Sharded or not, this is the one ensemble advance.
 // Per-member trajectory state — the prognostic State, boundary-layer TKE
 // and accumulated precipitation — is kept per member; the engine sets hold
 // scratch only, so which set steps a member never changes its bits.
@@ -23,6 +23,7 @@
 #include "scale/radiation.hpp"
 #include "scale/surface.hpp"
 #include "scale/turbulence.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace bda::scale {
@@ -39,29 +40,10 @@ struct PerturbationSpec {
   real zmax = 6000.0f;     ///< perturb below this height only
 };
 
-/// The scratch-only engines one member block steps with.  Dynamics,
-/// turbulence, surface and radiation carry no trajectory state, so any set
-/// steps a member to bitwise-identical state; that is what lets member
-/// blocks advance concurrently, each on its own set.
-struct EngineSet {
-  EngineSet(const Grid& grid, const ReferenceState& ref,
-            const ModelConfig& cfg)
-      : dyn(grid, ref, cfg.dyn), turb(grid, cfg.turb, cfg.dyn.lateral_bc),
-        sfc(grid, cfg.sfc), rad(grid, cfg.rad) {}
-
-  Dynamics dyn;
-  Turbulence turb;
-  Surface sfc;
-  Radiation rad;
-  /// Davies rim target (allocated iff a boundary driver is attached;
-  /// BoundaryDriver::fill is a deterministic function of time, so every
-  /// set's copy holds identical bytes).
-  std::unique_ptr<State> bdy_state;
-};
-
 /// Contiguous member block [m0, m1) of `part` when `members` are split
 /// near-evenly into `parts` (the first members % parts blocks one larger;
-/// empty when part >= members).  advance() and hpc::ShardedEngine share it.
+/// empty when part >= members); advance() and the shuffle ownership of
+/// hpc::ShardedEngine split with it.
 struct MemberBlock {
   int m0 = 0, m1 = 0;
 };
@@ -92,27 +74,10 @@ class Ensemble {
   /// threads (1 inside an active parallel region), each block on its own
   /// pool EngineSet, and the kernels' column loops run on one-thread
   /// teams.  A one-thread team (e.g. a single member) leaves the column
-  /// loops parallel instead.  Bitwise-identical at every team size.
+  /// loops parallel instead.  Bitwise-identical at every team size.  Each
+  /// block's thread CPU seconds are recorded after the join, in block
+  /// order, as "scale.advance_block", and their max as "_max".
   void advance(real duration);
-
-  /// Block advance, the building block of advance() and of
-  /// hpc::ShardedEngine's ranks.  advance_block steps members [m0, m1) with
-  /// `eng` and does NOT move the ensemble clock; concurrent calls are safe
-  /// on disjoint blocks with distinct sets.  After all blocks finish,
-  /// exactly one caller commits the clock:
-  ///
-  ///   ens.reserve_engine_sets(n);                      // calling thread
-  ///   ens.advance_block(d, m0, m1, ens.engine_set(i));  // block i < n
-  ///   ens.commit_advance(d);                           // once, after join
-  void advance_block(real duration, int m0, int m1, EngineSet& eng);
-  void commit_advance(real duration);
-
-  /// Grow the engine pool to at least `n` sets (and give every set a rim
-  /// scratch if a boundary driver is attached).  Not thread-safe: call it
-  /// on the thread that owns the ensemble, before the blocks start.
-  void reserve_engine_sets(int n);
-  /// Pool set `i` (< the reserved count); sets are never freed or moved.
-  EngineSet& engine_set(int i) { return *pool_[static_cast<std::size_t>(i)]; }
 
   /// Ensemble mean state (all prognostic fields).
   State mean() const;
@@ -126,7 +91,34 @@ class Ensemble {
     return micro_[static_cast<std::size_t>(m)]->accumulated_precip();
   }
 
+  /// Attach a metrics sink (may be null) for the per-block advance CPU.
+  void set_metrics(util::Metrics* metrics) { metrics_ = metrics; }
+
  private:
+  /// The scratch-only engines one member block steps with.  Dynamics,
+  /// turbulence, surface and radiation carry no trajectory state, so any set
+  /// steps a member to bitwise-identical state; that is what lets member
+  /// blocks advance concurrently, each on its own set.
+  struct EngineSet {
+    EngineSet(const Grid& grid, const ReferenceState& ref,
+              const ModelConfig& cfg)
+        : dyn(grid, ref, cfg.dyn), turb(grid, cfg.turb, cfg.dyn.lateral_bc),
+          sfc(grid, cfg.sfc), rad(grid, cfg.rad) {}
+
+    Dynamics dyn;
+    Turbulence turb;
+    Surface sfc;
+    Radiation rad;
+    /// Davies rim target (allocated iff a boundary driver is attached;
+    /// BoundaryDriver::fill is a deterministic function of time, so every
+    /// set's copy holds identical bytes).
+    std::unique_ptr<State> bdy_state;
+  };
+
+  /// Step members [m0, m1) with `eng` on a copy of the clock; advance()
+  /// commits the clock once, after every block.
+  void advance_block(real duration, int m0, int m1, EngineSet& eng);
+
   Grid grid_;
   ReferenceState ref_;
   ModelConfig cfg_;
@@ -141,6 +133,7 @@ class Ensemble {
   const BoundaryDriver* bdy_driver_ = nullptr;
   idx bdy_width_ = 5;
   real bdy_tau_ = 10.0f;
+  util::Metrics* metrics_ = nullptr;
 };
 
 /// Smooth random field on [0, nx) x [0, ny): white noise on a coarsened

@@ -194,10 +194,7 @@ void BdaSystem::enable_sharding(int px, int py) {
 void BdaSystem::advance_ensemble() {
   // <1-2>: ensemble background at the observation time.
   util::Metrics::ScopedTimer t(metrics_, "cycle.ensemble");
-  if (sharded_)
-    sharded_->advance_ensemble(real(cfg_.cycle_s));
-  else
-    ens_.advance(real(cfg_.cycle_s));
+  ens_.advance(real(cfg_.cycle_s));
 }
 
 CycleResult BdaSystem::finish_analysis(CycleResult partial,

@@ -139,10 +139,11 @@ class BdaSystem {
   CycleResult finish_analysis(CycleResult partial,
                               const letkf::ObsVector& obs);
 
-  /// Run the cycle sharded over px x py simulated ranks (threads-as-ranks
-  /// over hpc::CommWorld): the <1-2> advance becomes member blocks, the
-  /// <1-1> LETKF becomes domain tiles, and ensemble state moves between the
-  /// two layouts through the in-memory shuffle — no file round-trip.  The
+  /// Run the analysis sharded over px x py simulated ranks (threads-as-
+  /// ranks over hpc::CommWorld): the <1-1> LETKF becomes domain tiles, and
+  /// ensemble state moves between the member blocks of the <1-2> advance
+  /// (Ensemble::advance, the same at every layout) and the tiles through
+  /// the in-memory shuffle — no file round-trip.  The
   /// staged API is unchanged, so PipelinedDriver drives a sharded system
   /// exactly as a serial one, and the analyses stay bitwise identical to
   /// serial (the ShardedEngine determinism contract, docs/SHARDING.md).
@@ -158,9 +159,11 @@ class BdaSystem {
   /// ("cycle.cycles", "cycle.obs") are recorded through it, and the sink
   /// is forwarded to the LETKF for its weight-kernel counters
   /// ("letkf.eig_batches", "letkf.weight_cache_hit"/"_miss",
-  /// "letkf.eig_fail" — docs/LETKF_KERNEL.md).
+  /// "letkf.eig_fail" — docs/LETKF_KERNEL.md) and to the ensemble for its
+  /// per-block advance CPU ("scale.advance_block", "_max").
   void set_metrics(util::Metrics* metrics) {
     metrics_ = metrics;
+    ens_.set_metrics(metrics);
     letkf_.set_metrics(metrics);
     if (sharded_) sharded_->set_metrics(metrics);
   }

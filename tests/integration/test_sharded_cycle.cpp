@@ -1,12 +1,13 @@
 // Sharded-cycle determinism contract (docs/SHARDING.md).
 //
-// A cycle run through hpc::ShardedEngine — member-sharded <1-2> advance,
-// in-memory member->domain shuffle, domain-sharded <1-1> LETKF, halo
-// exchange, domain->member return — must be BITWISE identical to the serial
-// cycle() at every rank layout.  This is the integration gate for the whole
-// sharded path: any nondeterministic reduction, mis-tagged message, wrong
-// shuffle range or clock drift shows up as a byte mismatch here.  Runs under
-// every sanitizer preset; the tsan build is the race gate for the shuffle.
+// A cycle run through hpc::ShardedEngine — the member-block <1-2> advance
+// every layout shares, in-memory member->domain shuffle, domain-sharded
+// <1-1> LETKF, halo exchange, domain->member return — must be BITWISE
+// identical to the serial cycle() at every rank layout.  This is the
+// integration gate for the whole sharded path: any nondeterministic
+// reduction, mis-tagged message, wrong shuffle range or clock drift shows
+// up as a byte mismatch here.  Runs under every sanitizer preset; the tsan
+// build is the race gate for the shuffle.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,6 +15,8 @@
 #include <span>
 #include <utility>
 #include <vector>
+
+#include <omp.h>
 
 #include "util/metrics.hpp"
 #include "workflow/pipeline.hpp"
@@ -212,11 +215,37 @@ TEST(ShardedCycle, PipelinedDriverOverShardedSystemStaysBitwise) {
   for (int m = 0; m < cfg.n_members; ++m)
     expect_bitwise_equal(serial->ensemble().member(m),
                          sharded->ensemble().member(m), m);
-  // The sharded metrics schema is live: per-rank advance timers plus the
-  // max-over-ranks TTS series, one sample per cycle.
-  EXPECT_EQ(metrics.samples("shard.advance_max"), kCycles);
+  // The metrics schema is live: per-block advance timers plus the
+  // max-over-blocks series, and the per-rank analysis TTS series, one
+  // sample per cycle.
+  EXPECT_EQ(metrics.samples("scale.advance_block_max"), kCycles);
+  EXPECT_GE(metrics.samples("scale.advance_block"), kCycles);
   EXPECT_EQ(metrics.samples("shard.analysis_max"), kCycles);
   EXPECT_GT(metrics.counter("shard.shuffle_bytes"), 0u);
+}
+
+// One advance at every layout: the serial and the sharded cycle record the
+// same per-block advance CPU, one sample per member block of the caller's
+// team and one max per cycle.
+TEST(ShardedCycle, AdvanceBlocksRecordedAtEveryLayout) {
+  const Grid g = sharded_grid();
+  const auto cfg = sharded_config(4);
+  constexpr std::size_t kCycles = 1;
+  const int save = omp_get_max_threads();
+  omp_set_num_threads(2);
+  for (int ranks : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << ranks << " ranks");
+    // No storm or spin-up: only the metrics schema is under test here.
+    BdaSystem sys(g, scale::convective_sounding(), cfg);
+    if (ranks > 1) sys.enable_sharding(ranks, 1);
+    util::Metrics metrics;
+    sys.set_metrics(&metrics);
+    for (std::size_t c = 0; c < kCycles; ++c) sys.cycle();
+    EXPECT_EQ(metrics.samples("scale.advance_block"), 2 * kCycles);
+    EXPECT_EQ(metrics.samples("scale.advance_block_max"), kCycles);
+    EXPECT_GT(metrics.percentile("scale.advance_block_max", 50), 0.0);
+  }
+  omp_set_num_threads(save);
 }
 
 }  // namespace

@@ -421,14 +421,15 @@ TEST(ModelStep, BitwiseUnderOversubscription) {
 // EngineSet per thread of the team.  The result must not depend on the
 // split.  The run has micro, PBL and surface on, a time-dependent Davies
 // rim (its target refreshes every second, so each block's clock copy
-// matters) and two advances (the pool is reused and the clock committed).
+// matters) and one advance per entry of `teams` (the pool is resized to
+// each team and the clock committed).
 struct EnsembleRun {
   std::vector<State> members;
   double time = 0;
 };
 
-EnsembleRun advance_ensemble(int members, int team, LateralBc bc) {
-  omp_set_num_threads(team);
+EnsembleRun advance_ensemble(int members, const std::vector<int>& teams,
+                             LateralBc bc) {
   const Grid g = Grid::stretched(8, 8, 12, 500.0f, 8000.0f, 80.0f, 1.15f);
   ModelConfig cfg;
   cfg.physics_every = 2;
@@ -444,8 +445,10 @@ EnsembleRun advance_ensemble(int members, int team, LateralBc bc) {
     seed_hydrometeors(ens.member(m));
     add_shear(ens.member(m));
   }
-  ens.advance(2.4f);
-  ens.advance(2.4f);
+  for (int team : teams) {
+    omp_set_num_threads(team);
+    ens.advance(2.4f);
+  }
   EnsembleRun run;
   for (int m = 0; m < members; ++m) run.members.push_back(ens.member(m));
   run.time = ens.time();
@@ -467,14 +470,19 @@ TEST(EnsembleAdvance, BitwiseAcrossTeamsAndBlocks) {
   const int nproc = omp_get_num_procs();
   for (LateralBc bc : {LateralBc::kPeriodic, LateralBc::kClamp})
     for (int members : {1, 3, 8}) {
-      const EnsembleRun one = advance_ensemble(members, 1, bc);
+      const EnsembleRun one = advance_ensemble(members, {1, 1}, bc);
       for (int team : {2, 3, nproc}) {
         SCOPED_TRACE(testing::Message()
                      << members << " members, team " << team << ", "
                      << (bc == LateralBc::kPeriodic ? "periodic" : "clamp"));
-        expect_runs_bitwise(one, advance_ensemble(members, team, bc));
+        expect_runs_bitwise(one, advance_ensemble(members, {team, team}, bc));
       }
     }
+  // One ensemble on a changing team: the pool shrinks, regrows and gives
+  // the new sets their rim scratch, and every advance stays bitwise.
+  expect_runs_bitwise(
+      advance_ensemble(8, {1, 1, 1, 1}, LateralBc::kClamp),
+      advance_ensemble(8, {3, 2, 1, nproc}, LateralBc::kClamp));
   omp_set_num_threads(save);
 }
 
@@ -484,12 +492,14 @@ TEST(EnsembleAdvance, BitwiseAcrossTeamsAndBlocks) {
 TEST(EnsembleAdvance, BitwiseUnderOversubscription) {
   const int save = omp_get_max_threads();
   const int nproc = omp_get_num_procs();
-  const EnsembleRun solo = advance_ensemble(8, nproc, LateralBc::kClamp);
+  const EnsembleRun solo =
+      advance_ensemble(8, {nproc, nproc}, LateralBc::kClamp);
   std::vector<EnsembleRun> copies(3);
   std::vector<std::thread> threads;
   for (EnsembleRun& copy : copies)
-    threads.emplace_back(
-        [&] { copy = advance_ensemble(8, nproc, LateralBc::kClamp); });
+    threads.emplace_back([&] {
+      copy = advance_ensemble(8, {nproc, nproc}, LateralBc::kClamp);
+    });
   for (auto& t : threads) t.join();
   omp_set_num_threads(save);
   for (const EnsembleRun& copy : copies) expect_runs_bitwise(solo, copy);
